@@ -46,6 +46,7 @@ from .errors import (
     DegenerateImmersionError,
     DivergentNormError,
     ExpressionError,
+    IntegralOverflowError,
     KernelSpaceError,
     NonAffineMapError,
     ReportError,
@@ -107,7 +108,7 @@ __all__ = [
     "slice_inner_product", "slice_norm_squared", "spatial_spec",
     "galileo_on_slice",
     # errors
-    "KernelSpaceError", "DivergentNormError", "DegenerateImmersionError",
-    "NonAffineMapError", "ExpressionError", "CatalogConsistencyError",
-    "ReportError",
+    "KernelSpaceError", "DivergentNormError", "IntegralOverflowError",
+    "DegenerateImmersionError", "NonAffineMapError", "ExpressionError",
+    "CatalogConsistencyError", "ReportError",
 ]

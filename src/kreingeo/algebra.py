@@ -4,63 +4,120 @@ The sesquilinear form is
 
     (f, g) = prefactor * int int k(x, y) f(x) conj(g(y)) dx dy,
 
-evaluated term pair by term pair.  Gaussian x Gaussian pairs reduce to a
-2p-dimensional complex Gaussian integral; delta jets trade integration for
-kernel derivatives through integration by parts, picking up (-1)^|alpha|
-per jet.  A pair integral whose combined quadratic form has a real part
-with a non-positive eigenvalue raises DivergentNormError: the element lies
-outside the space.
+evaluated term pair by term pair.  Gaussian x Gaussian pairs reduce to
+2p-dimensional complex Gaussian integrals; all such pairs of one inner
+product are stacked and integrated as one batch, in chunks of PAIR_CHUNK
+pairs, with the monomial moments shared by each group of pairs that has
+the same exponent pattern.  Delta jets trade integration for kernel
+derivatives through integration by parts, picking up (-1)^|alpha| per jet;
+a delta on the left follows from one on the right by conjugate symmetry,
+(d, g) = conj((g, d)), as the kernel is real and symmetric.  A pair
+integral whose combined quadratic form has a real part with a non-positive
+eigenvalue raises DivergentNormError: the element lies outside the space.
 """
+
+import functools
 
 import numpy as np
 
 from .elements import DeltaJetTerm, GaussianTerm, SpaceElement
 from .kernels import GAUSSIAN, KernelSpec, Signature
-from .polygauss import PolyGaussian
+from .polygauss import (PD_TOLERANCE, PolyGaussian, divergence_error, gaussian_factors,
+                        gaussian_moments, min_real_eigenvalue, min_real_eigenvalues,
+                        require_finite)
 
 IMAG_TOLERANCE = 1e-12
 
+# Gaussian pairs are stacked at most this many at a time, so the (B, 2p, 2p)
+# arrays of a batch stay near a megabyte however many terms the mixtures have.
+PAIR_CHUNK = 1024
 
+
+@functools.lru_cache(maxsize=64)
 def _kernel_blocks(spec: KernelSpec) -> np.ndarray:
-    """Quadratic form of k(x, y) on the doubled space (x, y)."""
+    """Quadratic form of k(x, y) on the doubled space (x, y); read-only."""
     S = spec.signed_quad()
-    return np.block([[S, -S], [-S, S]]).astype(complex)
+    blocks = np.block([[S, -S], [-S, S]]).astype(complex)
+    blocks.flags.writeable = False
+    return blocks
 
 
-def _pair_gauss_gauss(t1: GaussianTerm, t2: GaussianTerm, spec: KernelSpec) -> complex:
+def _patterns(terms) -> tuple[list, np.ndarray]:
+    """Distinct monomial patterns of ``terms`` and each term's pattern id."""
+    ids: dict = {}
+    pid = np.array([ids.setdefault(t.poly, len(ids)) for t in terms])
+    return list(ids), pid
+
+
+def _gauss_pair_stacks(g1, g2, spec: KernelSpec):
+    """The Gaussian pairs (t1, t2) of two term lists, PAIR_CHUNK at a time.
+
+    Pairs come in row-major order, leaving out those whose coefficient
+    product is zero.  Each chunk is (keys, coeff, quad, lin, groups): the flat
+    pair indices i * len(g2) + j, the products c1 conj(c2), the combined forms
+    [[S + A1, -S], [-S, S + conj(A2)]], the linear parts (b1, conj(b2)) and,
+    per exponent pattern poly1 + poly2, the pattern and its pairs' positions.
+    """
+    if not g1 or not g2:
+        return
     p = spec.dim
-    t2c = t2.conjugated()
-    quad = _kernel_blocks(spec)
-    quad[:p, :p] += t1.quad
-    quad[p:, p:] += t2c.quad
-    lin = np.concatenate([t1.lin, t2c.lin])
-    poly = {t1.poly + t2c.poly: t1.coeff * t2c.coeff}
-    return PolyGaussian(poly, quad, lin).integrate()
+    quad1 = np.array([t.quad for t in g1])
+    quad2 = np.array([t.quad for t in g2]).conj()
+    lin1 = np.array([t.lin for t in g1])
+    lin2 = np.array([t.lin for t in g2]).conj()
+    coeff = (np.array([t.coeff for t in g1])[:, None]
+             * np.array([t.coeff for t in g2]).conj()[None, :]).reshape(-1)
+    polys1, pid1 = _patterns(g1)
+    polys2, pid2 = _patterns(g2)
+    kernel = _kernel_blocks(spec)
+    live = np.flatnonzero(coeff)
+    for start in range(0, live.size, PAIR_CHUNK):
+        keys = live[start:start + PAIR_CHUNK]
+        i, j = np.divmod(keys, len(g2))
+        quad = np.repeat(kernel[None], keys.size, axis=0)
+        quad[:, :p, :p] += quad1[i]
+        quad[:, p:, p:] += quad2[j]
+        lin = np.concatenate([lin1[i], lin2[j]], axis=1)
+        group = pid1[i] * len(polys2) + pid2[j]
+        groups = [(polys1[gid // len(polys2)] + polys2[gid % len(polys2)], np.flatnonzero(group == gid))
+                  for gid in np.flatnonzero(np.bincount(group)).tolist()]
+        yield keys, coeff[keys], quad, lin, groups
 
 
-def _pair_delta_gauss(td: DeltaJetTerm, tg: GaussianTerm, spec: KernelSpec,
-                      delta_on_left: bool) -> complex:
+def _gauss_pair_values(g1, g2, spec: KernelSpec) -> np.ndarray:
+    """The (len(g1), len(g2)) array of Gaussian x Gaussian pair integrals.
+
+    Raises DivergentNormError for the first divergent pair in row-major
+    order.  That is the pair a term-by-term sum would meet first: a delta
+    pair of an earlier row diverges only if S + Re(A1) is not positive
+    definite, and that block sits inside each of the row's combined forms.
+    """
+    values = np.zeros(len(g1) * len(g2), dtype=complex)
+    for keys, coeff, quad, lin, groups in _gauss_pair_stacks(g1, g2, spec):
+        mins = min_real_eigenvalues(quad)
+        bad = np.flatnonzero(mins <= PD_TOLERANCE)
+        if bad.size:
+            raise divergence_error(float(mins[bad[0]]))
+        base, mu, sigma = gaussian_factors(quad, lin)
+        moments = np.ones(keys.size, dtype=complex)
+        for gamma, members in groups:
+            if any(gamma):
+                moments[members] = gaussian_moments([gamma], mu[members], sigma[members])[0]
+        values[keys] = require_finite(base * (coeff * moments), "a Gaussian pair integral")
+    return values.reshape(len(g1), len(g2))
+
+
+def _pair_gauss_delta(tg: GaussianTerm, td: DeltaJetTerm, spec: KernelSpec) -> complex:
+    """(g, d): the y-integral against the jet becomes kernel derivatives at its base."""
     p = spec.dim
-    tgc = tg.conjugated() if delta_on_left else tg
-    coeff_delta = td.coeff if delta_on_left else np.conj(td.coeff)
-    quad = _kernel_blocks(spec)
-    zero = (0,) * p
-    if delta_on_left:
-        quad[p:, p:] += tgc.quad
-        lin = np.concatenate([np.zeros(p), tgc.lin])
-        poly = {zero + tgc.poly: coeff_delta * tgc.coeff}
-        delta_axes = range(p)
-        fixed = {i: td.base[i] for i in range(p)}
-    else:
-        quad[:p, :p] += tgc.quad
-        lin = np.concatenate([tgc.lin, np.zeros(p)])
-        poly = {tgc.poly + zero: coeff_delta * tgc.coeff}
-        delta_axes = range(p, 2 * p)
-        fixed = {p + i: td.base[i] for i in range(p)}
-    pg = PolyGaussian(poly, quad, lin)
-    for axis, k in zip(delta_axes, td.orders):
+    quad = _kernel_blocks(spec).copy()
+    quad[:p, :p] += tg.quad
+    lin = np.concatenate([tg.lin, np.zeros(p)])
+    pg = PolyGaussian({tg.poly + (0,) * p: np.conj(td.coeff) * tg.coeff}, quad, lin)
+    for axis, k in enumerate(td.orders, start=p):
         for _ in range(k):
             pg = pg.differentiate(axis)
+    fixed = {p + i: td.base[i] for i in range(p)}
     return (-1.0) ** td.order * pg.substitute(fixed).integrate()
 
 
@@ -83,15 +140,16 @@ def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> compl
         raise ValueError("closed-form inner products are defined for the gaussian family")
     if e1.dim != spec.dim or e2.dim != spec.dim:
         raise ValueError(f"element dimensions ({e1.dim}, {e2.dim}) do not match kernel dimension {spec.dim}")
+    gauss = _gauss_pair_values(e1.gaussians, e2.gaussians, spec)
     total = 0.0 + 0.0j
-    for t1 in e1.gaussians:
-        for t2 in e2.gaussians:
-            total += _pair_gauss_gauss(t1, t2, spec)
+    for t1, row in zip(e1.gaussians, gauss.tolist()):
+        for value in row:
+            total += value
         for t2 in e2.deltas:
-            total += _pair_delta_gauss(t2, t1, spec, delta_on_left=False)
+            total += _pair_gauss_delta(t1, t2, spec)
     for t1 in e1.deltas:
         for t2 in e2.gaussians:
-            total += _pair_delta_gauss(t1, t2, spec, delta_on_left=True)
+            total += _pair_gauss_delta(t2, t1, spec).conjugate()
         for t2 in e2.deltas:
             total += _pair_delta_delta(t1, t2, spec)
     return spec.prefactor() * total
@@ -170,20 +228,12 @@ def combined_form_min_eigenvalue(e1: SpaceElement, e2: SpaceElement,
 
     This is the quantity whose sign decides DivergentNormError; exposed so
     tests can check the trigger against an explicit eigenvalue computation.
+    Gaussian pairs are assembled exactly as inner_product assembles them.
     """
-    from .polygauss import min_real_eigenvalue
-
-    p = spec.dim
     worst = np.inf
-    for t1 in e1.gaussians:
-        for t2 in e2.gaussians:
-            quad = _kernel_blocks(spec)
-            quad[:p, :p] += t1.quad
-            quad[p:, p:] += t2.conjugated().quad
-            worst = min(worst, min_real_eigenvalue(quad))
-        for t2 in e2.deltas:
-            worst = min(worst, min_real_eigenvalue(t1.quad + spec.signed_quad()))
-    for t1 in e1.deltas:
-        for t2 in e2.gaussians:
-            worst = min(worst, min_real_eigenvalue(t2.conjugated().quad + spec.signed_quad()))
+    for _, _, quad, _, _ in _gauss_pair_stacks(e1.gaussians, e2.gaussians, spec):
+        worst = min(worst, float(min_real_eigenvalues(quad).min()))
+    jet_partners = (e1.gaussians if e2.deltas else ()) + (e2.gaussians if e1.deltas else ())
+    for t in jet_partners:
+        worst = min(worst, min_real_eigenvalue(t.quad + spec.signed_quad()))
     return float(worst)

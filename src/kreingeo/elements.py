@@ -12,6 +12,8 @@ multiplication, differentiation and Hamiltonian application; inner products
 remain closed-form Gaussian moment integrals.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,10 @@ def _as_complex_matrix(m, p: int) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.shape != (p, p):
         raise ValueError(f"quadratic form must be {p}x{p}")
-    scale = max(1.0, float(np.max(np.abs(a))))
+    size = float(np.max(np.abs(a)))
+    if not math.isfinite(size):
+        raise ValueError("quadratic form must be finite")
+    scale = max(1.0, size)
     if np.max(np.abs(a - a.T)) > _SYM_TOL * scale:
         raise ValueError("quadratic form must be symmetric")
     return 0.5 * (a + a.T)
@@ -45,9 +50,12 @@ class GaussianTerm:
     poly: tuple[int, ...] = ()
 
     def __post_init__(self):
+        coeff = complex(self.coeff)
         lin = np.atleast_1d(np.asarray(self.lin, dtype=complex))
         p = lin.shape[0]
         quad = _as_complex_matrix(self.quad, p)
+        if not (cmath.isfinite(coeff) and np.isfinite(lin).all()):
+            raise ValueError("Gaussian term coefficient and linear part must be finite")
         poly = tuple(int(k) for k in self.poly) if self.poly else (0,) * p
         if len(poly) != p:
             raise ValueError("monomial powers must match the dimension")
@@ -55,7 +63,7 @@ class GaussianTerm:
             raise ValueError("monomial powers must be nonnegative")
         if np.linalg.eigvalsh(quad.real)[0] <= 0.0:
             raise ValueError("real part of the quadratic form must be positive definite")
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "poly", poly)
@@ -68,7 +76,13 @@ class GaussianTerm:
         return GaussianTerm(self.coeff * factor, self.quad, self.lin, self.poly)
 
     def conjugated(self) -> "GaussianTerm":
-        return GaussianTerm(np.conj(self.coeff), np.conj(self.quad), np.conj(self.lin), self.poly)
+        """The complex-conjugate term; it inherits this term's validation."""
+        twin = object.__new__(GaussianTerm)
+        object.__setattr__(twin, "coeff", self.coeff.conjugate())
+        object.__setattr__(twin, "quad", self.quad.conj())
+        object.__setattr__(twin, "lin", self.lin.conj())
+        object.__setattr__(twin, "poly", self.poly)
+        return twin
 
     def reflected(self, signature: Signature) -> "GaussianTerm":
         """Composition with the reflection of all negative-signature coordinates."""
@@ -98,7 +112,10 @@ class DeltaJetTerm:
             raise ValueError(f"total jet order exceeds the cap of {JET_ORDER_CAP}")
         if not np.all(np.isfinite(base)):
             raise ValueError("base point must be finite")
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        coeff = complex(self.coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError("delta-jet coefficient must be finite")
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "orders", orders)
 

@@ -18,6 +18,11 @@ class DivergentNormError(KernelSpaceError):
         self.min_eigenvalue = min_eigenvalue
 
 
+class IntegralOverflowError(KernelSpaceError):
+    """A closed-form integral or one of its Gaussian moments exceeds the
+    float range, typically because a monomial degree is very high."""
+
+
 class DegenerateImmersionError(KernelSpaceError):
     """A map expected to be an immersion is rank-deficient at a point."""
 

@@ -25,7 +25,7 @@ from .dynamics import (PerturbedPath, TimeSlicedElement, coherent_state, free_pa
                        schrodinger_residual, slice_inner_product, slice_norm_squared,
                        spatial_spec)
 from .elements import GaussianTerm, SpaceElement
-from .errors import DivergentNormError, ReportError
+from .errors import DivergentNormError, KernelSpaceError, ReportError
 from .geometry import (PulledBackKernel, chordal_distance, embed_delta,
                        induced_metric)
 from .groups import (AffineMap, DiffeoMap, PoincareElement, act_on_element,
@@ -200,7 +200,34 @@ class ExperimentConfig:
             if key not in tols:
                 raise ValueError(f"unknown tolerance {key!r} for experiment {name}")
             tols[key] = float(value)
+        _check_structured_parameters(name, params)
         return cls(name, params, tols, int(seed), Path(out_dir), dump_elements)
+
+
+def _check_structured_parameters(name: str, params: dict) -> None:
+    """Decode the parameters that runners parse, so a malformed one is a
+    config error before the run rather than a failure partway through it."""
+    if name not in _STRUCTURED_PARAMETERS:
+        return
+    key, parse = _STRUCTURED_PARAMETERS[name]
+    try:
+        parse(params[key])
+    except (TypeError, ValueError, KeyError, KernelSpaceError) as ex:
+        raise ValueError(f"parameter {key!r}: {ex}") from ex
+
+
+def _tau_grid(value) -> np.ndarray:
+    """Slice times from a ``[lo, hi, count]`` parameter."""
+    lo, hi, count = value
+    if int(count) < 1:
+        raise ValueError("tau_grid needs a count of at least 1")
+    return np.linspace(float(lo), float(hi), int(count))
+
+
+_STRUCTURED_PARAMETERS = {
+    "gram-invariance": ("extra_elements", lambda records: [parse_group_element(r) for r in records]),
+    "slice-dynamics": ("tau_grid", _tau_grid),
+}
 
 
 def load_config_file(path, name: str) -> dict:
@@ -494,8 +521,7 @@ def run_slice_dynamics(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     p = cfg.parameters
     rng = np.random.default_rng(cfg.seed)
-    lo, hi, count = p["tau_grid"]
-    taus = np.linspace(float(lo), float(hi), int(count))
+    taus = _tau_grid(p["tau_grid"])
     metrics = tuple(p["metrics"])
     pk = p["packet"]
     po = p["oscillator"]

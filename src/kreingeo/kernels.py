@@ -27,6 +27,11 @@ class Signature:
     neg: int
 
     def __post_init__(self):
+        for name in ("pos", "neg"):
+            count = getattr(self, name)
+            if not float(count).is_integer():
+                raise ValueError(f"signature counts must be whole numbers, not {count!r}")
+            object.__setattr__(self, name, int(count))
         if self.pos < 0 or self.neg < 0:
             raise ValueError("signature counts must be nonnegative")
         if self.pos + self.neg < 1:
@@ -57,8 +62,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (GAUSSIAN, PERIODIC_SOBOLEV):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be positive and finite")
         if self.normalized and self.signature.neg > 0:
             raise ValueError("normalization is defined only for positive signatures")
         if self.truncation < 1:

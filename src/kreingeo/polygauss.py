@@ -10,50 +10,167 @@ inside the family; full integration over R^n has a closed form whenever
 Re(P) is positive definite.  The integral branch of det(P)^(-1/2) is fixed
 by taking principal logarithms of the eigenvalues of P, all of which have
 positive real part when Re(P) is positive definite.
+
+The integral's factors and monomial moments are computed for a whole stack
+of forms at once, so the element algebra can integrate many pairs in one
+pass.  Moments are built bottom-up one total degree at a time, with no
+recursion, and stop with IntegralOverflowError soon after a degree leaves
+the float range.
 """
+
+import functools
+import math
 
 import numpy as np
 
-from .errors import DivergentNormError
+from .errors import DivergentNormError, IntegralOverflowError
 
 # Smallest admissible eigenvalue of the symmetrized real part of a
 # quadratic form before the pair integral is declared divergent.
 PD_TOLERANCE = 1e-10
 
+# Moment plans over at most this many multi-indices are kept (about a
+# megabyte each at n = 8); larger ones are rebuilt degree by degree on each
+# use and never held whole.
+_PLAN_CACHE_STATES = 4096
+
+# Moments are checked for overflow once per this many degrees, which bounds
+# the work done past an overflow without a check on every degree.
+_OVERFLOW_CHECK_DEGREES = 32
+
 _TWO_PI = 2.0 * np.pi
+
+
+def min_real_eigenvalues(quad) -> np.ndarray:
+    """Smallest eigenvalue of the symmetrized real part of each form in a (..., n, n) stack."""
+    re = np.asarray(quad).real
+    sym = 0.5 * (re + np.swapaxes(re, -1, -2))
+    return np.linalg.eigvalsh(sym)[..., 0]
 
 
 def min_real_eigenvalue(quad: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetrized real part of ``quad``."""
-    re = np.asarray(quad).real
-    sym = 0.5 * (re + re.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    return float(min_real_eigenvalues(quad))
 
 
-def _gaussian_moment(gamma: tuple[int, ...], mu: np.ndarray, sigma: np.ndarray,
-                     cache: dict) -> complex:
-    """E[z^gamma] for a (complex) Gaussian with mean mu, covariance sigma.
+def divergence_error(min_eig: float) -> DivergentNormError:
+    """The error for a form whose smallest real-part eigenvalue is ``min_eig``."""
+    return DivergentNormError(
+        f"combined quadratic form is not positive definite "
+        f"(min real-part eigenvalue {min_eig:.3e})",
+        min_eigenvalue=min_eig,
+    )
 
-    Uses the recursion E[z_i z^g] = mu_i E[z^g] + sum_j g_j sigma_ij E[z^(g-e_j)],
-    which follows from differentiating the moment generating function.
+
+def require_finite(values, what: str):
+    """``values`` unchanged, or IntegralOverflowError naming ``what``."""
+    if not np.isfinite(values).all():
+        raise IntegralOverflowError(f"{what} exceeds the float range")
+    return values
+
+
+def gaussian_factors(quad: np.ndarray, lin: np.ndarray, const: complex = 0.0):
+    """Integral of exp(-1/2 z^T P z + q.z + const) over R^n for a stack of forms.
+
+    ``quad`` is (B, n, n) with positive definite real parts and ``lin`` is
+    (B, n).  Returns the integrals (B,) together with the mean P^-1 q (B, n)
+    and covariance P^-1 (B, n, n) of the normalized Gaussians.
     """
-    if all(k == 0 for k in gamma):
-        return 1.0 + 0.0j
-    hit = cache.get(gamma)
-    if hit is not None:
-        return hit
-    i = next(k for k, g in enumerate(gamma) if g > 0)
-    rest = list(gamma)
-    rest[i] -= 1
-    rest_t = tuple(rest)
-    total = mu[i] * _gaussian_moment(rest_t, mu, sigma, cache)
-    for j, gj in enumerate(rest_t):
-        if gj > 0:
-            lower = list(rest_t)
-            lower[j] -= 1
-            total += gj * sigma[i, j] * _gaussian_moment(tuple(lower), mu, sigma, cache)
-    cache[gamma] = total
-    return total
+    n = quad.shape[-1]
+    # All eigenvalues of a complex symmetric matrix with positive definite
+    # real part lie in the right half plane, so principal logs give the
+    # analytic branch of det^(1/2).
+    lam = np.linalg.eigvals(quad)
+    sqrt_det = np.exp(0.5 * np.sum(np.log(lam), axis=-1))
+    sigma = np.linalg.inv(quad)
+    mu = (sigma @ lin[..., None])[..., 0]
+    exponent = (lin[..., None, :] @ sigma @ lin[..., None])[..., 0, 0]
+    base = _TWO_PI ** (0.5 * n) / sqrt_det * np.exp(0.5 * exponent + const)
+    return base, mu, sigma
+
+
+def _plan_levels(top: tuple[int, ...]):
+    """Moment recursion steps for every multi-index g <= ``top``, by total degree.
+
+    Yields one ``(index, step)`` per degree d, where ``index`` maps the
+    multi-indices of degree d to their positions.  ``step`` is None at degree
+    0.  Otherwise it is (weight, factor, source), three (S+1, W) arrays over
+    slots and the W multi-indices g of degree d.  With i the first axis where
+    g_i > 0 and rest = g - e_i, slot 0 is mu_i times the moment of rest; slot
+    s > 0 is rest_j sigma_ij times the moment of rest - e_j, for the axes j
+    with rest_j > 0 in increasing order.  ``factor`` indexes [sigma.ravel(),
+    mu] and ``source`` indexes [degree d-1, degree d-2].  Short rows are
+    padded with weight 0.
+    """
+    n = len(top)
+    prev: dict = {}
+    index = {(0,) * n: 0}
+    yield index, None
+    for _ in range(sum(top)):
+        older, prev, index = prev, index, {}
+        for g in prev:
+            for k in range(n):
+                if g[k] < top[k]:
+                    index.setdefault(g[:k] + (g[k] + 1,) + g[k + 1:], len(index))
+        columns = []
+        for g in index:
+            i = next(k for k, gk in enumerate(g) if gk)
+            r = g[:i] + (g[i] - 1,) + g[i + 1:]
+            columns.append([(1, n * n + i, prev[r])] + [
+                (rj, i * n + j, len(prev) + older[r[:j] + (rj - 1,) + r[j + 1:]])
+                for j, rj in enumerate(r) if rj])
+        slots = max(map(len, columns))
+        padded = [c + [(0, 0, 0)] * (slots - len(c)) for c in columns]
+        weight, factor, source = np.array(padded, dtype=np.intp).transpose(2, 1, 0)
+        yield index, (weight.astype(float), factor, source)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(top: tuple[int, ...]) -> tuple:
+    return tuple(_plan_levels(top))
+
+
+def _moment_plan(top: tuple[int, ...]):
+    if math.prod(k + 1 for k in top) <= _PLAN_CACHE_STATES:
+        return _cached_plan(top)
+    return _plan_levels(top)
+
+
+def gaussian_moments(gammas: list[tuple[int, ...]], mu: np.ndarray,
+                     sigma: np.ndarray) -> np.ndarray:
+    """E[z^g] for each multi-index g of ``gammas`` under each Gaussian of a stack.
+
+    ``mu`` is (B, n), ``sigma`` is (B, n, n) and the result is (len(gammas), B).
+    Uses the recursion E[z_i z^g] = mu_i E[z^g] + sum_j g_j sigma_ij E[z^(g-e_j)],
+    which follows from differentiating the moment generating function.  It
+    runs upward one total degree at a time and holds only the two degrees
+    below the current one, so no degree can exhaust the stack; every
+    _OVERFLOW_CHECK_DEGREES degrees it stops if the moments left the float
+    range.
+    """
+    B, n = mu.shape
+    pending: dict = {}
+    for k, g in enumerate(gammas):
+        pending.setdefault(sum(g), []).append((k, g))
+    out = np.empty((len(gammas), B), dtype=complex)
+    factors = np.concatenate([sigma.reshape(B, n * n), mu], axis=1)
+    below, cur = np.empty((B, 0), dtype=complex), np.ones((B, 1), dtype=complex)
+    plan = _moment_plan(tuple(map(max, zip(*gammas))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degree, (index, step) in enumerate(plan):
+            if step is not None:
+                weight, factor, source = step
+                terms = factors[:, factor]
+                terms *= weight
+                terms *= np.concatenate([cur, below], axis=1)[:, source]
+                below, cur = cur, np.add.reduce(terms, axis=1)
+                if degree % _OVERFLOW_CHECK_DEGREES == 0:
+                    require_finite(cur, f"the Gaussian moment of degree {degree} "
+                                        f"(monomial degree up to {max(pending)})")
+            for k, g in pending.pop(degree, ()):
+                out[k] = cur[:, index[g]]
+            if not pending:
+                return out
 
 
 class PolyGaussian:
@@ -113,9 +230,11 @@ class PolyGaussian:
         w = np.array([fixed[i] for i in fix], dtype=complex)
         P = self.quad
         q = self.lin
-        new_quad = P[np.ix_(keep, keep)]
-        new_lin = q[keep] - P[np.ix_(keep, fix)] @ w
-        new_const = self.const + q[fix] @ w - 0.5 * (w @ P[np.ix_(fix, fix)] @ w)
+        kept_rows = P[keep]
+        fixed_rows = P[fix]
+        new_quad = kept_rows[:, keep]
+        new_lin = q[keep] - kept_rows[:, fix] @ w
+        new_const = self.const + q[fix] @ w - 0.5 * (w @ fixed_rows[:, fix] @ w)
         new_poly: dict = {}
         for g, c in self.poly.items():
             factor = c
@@ -150,26 +269,12 @@ class PolyGaussian:
         """
         if not self.poly:
             return 0.0 + 0.0j
-        n = self.dim
         min_eig = min_real_eigenvalue(self.quad)
         if min_eig <= pd_tolerance:
-            raise DivergentNormError(
-                f"combined quadratic form is not positive definite "
-                f"(min real-part eigenvalue {min_eig:.3e})",
-                min_eigenvalue=min_eig,
-            )
-        # All eigenvalues of a complex symmetric matrix with positive definite
-        # real part lie in the right half plane, so principal logs give the
-        # analytic branch of det^(1/2).
-        lam = np.linalg.eigvals(self.quad)
-        sqrt_det = np.exp(0.5 * np.sum(np.log(lam)))
-        sigma = np.linalg.inv(self.quad)
-        mu = sigma @ self.lin
-        base = _TWO_PI ** (0.5 * n) / sqrt_det * np.exp(
-            0.5 * (self.lin @ sigma @ self.lin) + self.const
-        )
-        cache: dict = {}
+            raise divergence_error(min_eig)
+        base, mu, sigma = gaussian_factors(self.quad[None], self.lin[None], self.const)
+        moments = gaussian_moments(list(self.poly), mu, sigma)[:, 0].tolist()
         total = 0.0 + 0.0j
-        for g, c in self.poly.items():
-            total += c * _gaussian_moment(g, mu, sigma, cache)
-        return complex(base * total)
+        for c, m in zip(self.poly.values(), moments):
+            total += c * m
+        return complex(require_finite(base[0] * total, "the integral"))

@@ -205,6 +205,20 @@ def test_gram_invariance_extra_elements(runner, tmp_path):
     assert len(rows) == 1 + 5 + 2  # header + random samples + configured elements
 
 
+@pytest.mark.parametrize("experiment, parameters", [
+    ("gram-invariance", {"extra_elements": [{"bogus": 1}]}),
+    ("slice-dynamics", {"tau_grid": [0.1, 2, "x"]}),
+])
+def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": parameters}), encoding="utf-8")
+    result = runner.invoke(main, [experiment, "--config", str(path),
+                                  "--out", str(tmp_path / "results")])
+    assert result.exit_code == 2
+    assert "config error:" in result.output
+    assert not (tmp_path / "results").exists()
+
+
 def test_experiment_config_build_rejects_unknowns():
     with pytest.raises(ValueError):
         ExperimentConfig.build("norm-convergence", tolerances={"bogus": 1.0})

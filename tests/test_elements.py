@@ -24,6 +24,30 @@ def test_gaussian_term_poly_validation():
         GaussianTerm(1.0, np.eye(1), np.zeros(1), poly=(-1,))
 
 
+@pytest.mark.parametrize("coeff, quad, lin", [
+    (complex(np.nan, 0.0), [[1.0]], [0.0]),
+    (1.0, [[np.inf]], [0.0]),
+    (1.0, [[1.0]], [complex(0.0, np.nan)]),
+])
+def test_gaussian_term_rejects_non_finite_inputs(coeff, quad, lin):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianTerm(coeff, quad, lin)
+
+
+def test_delta_jet_rejects_non_finite_coefficient():
+    with pytest.raises(ValueError, match="finite"):
+        DeltaJetTerm(complex(np.inf, 1.0), np.zeros(2))
+
+
+def test_conjugated_term_is_not_revalidated(monkeypatch):
+    t = GaussianTerm(1.0 + 2.0j, [[1.5 + 0.5j]], [0.3 - 0.1j], (2,))
+    monkeypatch.setattr(GaussianTerm, "__post_init__",
+                        lambda self: pytest.fail("conjugated() re-validated its term"))
+    c = t.conjugated()
+    assert c.coeff == 1.0 - 2.0j and c.poly == (2,)
+    assert np.array_equal(c.quad, [[1.5 - 0.5j]]) and np.array_equal(c.lin, [0.3 + 0.1j])
+
+
 def test_delta_jet_order_cap():
     DeltaJetTerm(1.0, np.zeros(3), (1, 1, 0))
     with pytest.raises(ValueError):

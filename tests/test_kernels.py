@@ -30,6 +30,18 @@ def test_spec_validation():
         KernelSpec("unknown_family", Signature(1, 0))
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_spec_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec.gaussian(3, 1, scale=scale)
+
+
+def test_signature_rejects_fractional_counts():
+    with pytest.raises(ValueError, match="whole numbers"):
+        Signature(1.5, 0)
+    assert Signature(3.0, 1) == Signature(3, 1)
+
+
 def test_zero_separation_is_one():
     spec = KernelSpec.gaussian(3, 0)
     assert kernel_eval(spec, [0.3, -1.0, 2.0], [0.3, -1.0, 2.0]) == 1.0

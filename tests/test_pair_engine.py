@@ -1,0 +1,181 @@
+"""The batched Gaussian-pair engine behind inner_product.
+
+Properties are checked on random mixtures: conjugate symmetry,
+sesquilinearity, and agreement of one stacked batch of B pairs with B
+batches of one pair each (the sum over single-term pieces).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kreingeo.algebra as algebra
+from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, norm_squared
+from kreingeo.elements import DeltaJetTerm, GaussianTerm, SpaceElement
+from kreingeo.errors import DivergentNormError
+from kreingeo.kernels import KernelSpec
+
+SIGNATURES = ((1, 0), (2, 0), (3, 0), (4, 0), (3, 1))
+TOY = KernelSpec.gaussian(0, 1)
+LINE = KernelSpec.gaussian(1, 0)
+PROPERTY_RTOL = 1e-11
+
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def complexes(draw, bound=1.0):
+    return complex(draw(st.floats(-bound, bound)), draw(st.floats(-bound, bound)))
+
+
+@st.composite
+def mixtures(draw, signature, max_gauss=4, max_jets=2):
+    """Gaussian mixtures plus delta jets whose pairs all converge.
+
+    Negative-signature axes get Re(a) >= 2.5, as the indefinite kernel needs;
+    off-diagonal entries stay small enough for Re(A) to stay positive definite.
+    """
+    pos, neg = signature
+    dim = pos + neg
+    gaussians = []
+    for _ in range(draw(st.integers(0, max_gauss))):
+        diag = [draw(st.floats(0.8, 2.0)) for _ in range(pos)] + \
+               [draw(st.floats(2.5, 4.0)) for _ in range(neg)]
+        quad = np.diag(np.array(diag) + 1j * np.array([draw(st.floats(-0.4, 0.4)) for _ in diag]))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                quad[i, j] = quad[j, i] = 0.05 * draw(complexes())
+        lin = np.array([0.5 * draw(complexes()) for _ in range(dim)])
+        poly = tuple(draw(st.integers(0, 1)) for _ in range(dim))
+        gaussians.append(GaussianTerm(draw(complexes(2.0)), quad, lin, poly))
+    deltas = []
+    for _ in range(draw(st.integers(0, max_jets))):
+        orders = [0] * dim
+        for _ in range(draw(st.integers(0, 2))):
+            orders[draw(st.integers(0, dim - 1))] += 1
+        base = [draw(unit) for _ in range(dim)]
+        deltas.append(DeltaJetTerm(draw(complexes(2.0)), base, tuple(orders)))
+    return SpaceElement(dim, tuple(gaussians), tuple(deltas))
+
+
+def pieces(e):
+    return ([SpaceElement(e.dim, (t,)) for t in e.gaussians]
+            + [SpaceElement(e.dim, (), (t,)) for t in e.deltas])
+
+
+def piecewise(e1, e2, spec):
+    """Sum and summed magnitude of the inner products of single-term pieces."""
+    values = [inner_product(a, b, spec) for a in pieces(e1) for b in pieces(e2)]
+    return sum(values), sum(abs(v) for v in values)
+
+
+@st.composite
+def spec_and_mixtures(draw, count):
+    signature = draw(st.sampled_from(SIGNATURES))
+    return (KernelSpec.gaussian(*signature),
+            *(draw(mixtures(signature)) for _ in range(count)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_and_mixtures(2))
+def test_batch_equals_sum_of_single_pairs(case):
+    spec, e1, e2 = case
+    want, scale = piecewise(e1, e2, spec)
+    assert abs(inner_product(e1, e2, spec) - want) <= PROPERTY_RTOL * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_and_mixtures(2))
+def test_conjugate_symmetry(case):
+    spec, f, g = case
+    _, scale = piecewise(f, g, spec)
+    assert abs(inner_product(f, g, spec) - np.conj(inner_product(g, f, spec))) <= PROPERTY_RTOL * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec_and_mixtures(3), complexes(2.0), complexes(2.0))
+def test_sesquilinearity(case, alpha, beta):
+    spec, f, h, g = case
+    fg, hg = inner_product(f, g, spec), inner_product(h, g, spec)
+    scale = abs(alpha) * piecewise(f, g, spec)[1] + abs(beta) * piecewise(h, g, spec)[1]
+    combo = inner_product(f * alpha + h * beta, g, spec)
+    assert abs(combo - (alpha * fg + beta * hg)) <= PROPERTY_RTOL * scale
+    assert abs(inner_product(f, g * alpha, spec) - np.conj(alpha) * fg) <= PROPERTY_RTOL * scale * abs(alpha)
+
+
+def test_zero_coefficient_divergent_term_is_skipped():
+    # Against the time toy, exp(-x^2) alone lies exactly on the divergence
+    # boundary; with a zero coefficient it contributes nothing and must not raise.
+    good = SpaceElement.gaussian([[4.0]])
+    e = good + SpaceElement.gaussian([[2.0]], coeff=0.0)
+    assert norm_squared(e, TOY) == norm_squared(good, TOY)
+    assert combined_form_min_eigenvalue(e, e, TOY) == combined_form_min_eigenvalue(good, good, TOY)
+
+
+def test_divergence_reports_the_predicted_eigenvalue():
+    e = SpaceElement.gaussian([[1.5 + 0.2j]])
+    with pytest.raises(DivergentNormError) as err:
+        norm_squared(e, TOY)
+    assert err.value.min_eigenvalue == combined_form_min_eigenvalue(e, e, TOY)
+
+
+def test_first_divergent_pair_in_loop_order_is_reported():
+    good, bad, worse = (SpaceElement.gaussian([[a]]) for a in (4.0, 1.5, 1.2))
+    e = good + bad + worse
+    with pytest.raises(DivergentNormError) as err:
+        inner_product(e, e, TOY)
+    # (good, bad) converges; row 0 then meets (good, worse) before the
+    # divergent pairs of later rows.
+    assert combined_form_min_eigenvalue(good, bad, TOY) > 0
+    assert err.value.min_eigenvalue == combined_form_min_eigenvalue(good, worse, TOY)
+
+
+def brute_force_line(e1, e2, radius=10.0, n=1601):
+    xs = np.linspace(-radius, radius, n)
+    kernel = np.exp(-0.5 * (xs[:, None] - xs[None, :]) ** 2)
+    step = xs[1] - xs[0]
+    return e1.evaluate(xs[:, None]) @ kernel @ np.conj(e2.evaluate(xs[:, None])) * step * step
+
+
+def test_mixed_monomial_patterns_are_grouped_correctly():
+    # Four monomial patterns on each side give sixteen pattern groups.
+    rng = np.random.default_rng(3)
+    terms = []
+    for k in (0, 1, 2, 3, 1, 0):
+        a = rng.uniform(0.8, 2.0) + 1j * rng.uniform(-0.3, 0.3)
+        terms.append(GaussianTerm(rng.normal() + 1j * rng.normal(), [[a]],
+                                  [0.3 * rng.normal() + 0.2j * rng.normal()], (k,)))
+    e1 = SpaceElement(1, tuple(terms[:4]))
+    e2 = SpaceElement(1, tuple(terms[2:]))
+    got = inner_product(e1, e2, LINE)
+    want, scale = piecewise(e1, e2, LINE)
+    assert abs(got - want) <= 1e-13 * scale
+    assert got == pytest.approx(brute_force_line(e1, e2), rel=1e-6)
+
+
+def test_chunks_match_a_single_batch(monkeypatch):
+    rng = np.random.default_rng(8)
+    spec = KernelSpec.gaussian(3, 1)
+    terms = []
+    for j in range(9):
+        diag = np.concatenate([rng.uniform(0.8, 2.0, 3), rng.uniform(2.5, 4.0, 1)])
+        terms.append(GaussianTerm(rng.normal() + 1j * rng.normal(), np.diag(diag + 0.2j),
+                                  0.4 * rng.normal(size=4), tuple(int((i + j) % 3 == 0) for i in range(4))))
+    e = SpaceElement(4, tuple(terms))
+    whole = inner_product(e, e, spec)
+    monkeypatch.setattr(algebra, "PAIR_CHUNK", 7)
+    chunked = inner_product(e, e, spec)
+    assert abs(chunked - whole) <= 1e-13 * abs(whole)
+
+
+def test_norm_of_a_high_degree_monomial():
+    # x^k exp(-x^2/2) under the unit line kernel, against trapezoid
+    # quadrature of the double integral.
+    k = 40
+    e = SpaceElement.gaussian([[1.0]], poly=(k,))
+    value = norm_squared(e, LINE)
+    assert math.isfinite(value) and value > 0
+    assert value == pytest.approx(brute_force_line(e, e, radius=14.0).real, rel=1e-6)

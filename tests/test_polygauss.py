@@ -4,11 +4,17 @@ The integrate() closed form is checked against plain trapezoid quadrature,
 which shares no code with the moment recursion.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 
-from kreingeo.errors import DivergentNormError
-from kreingeo.polygauss import PolyGaussian, min_real_eigenvalue
+from kreingeo.algebra import norm_squared
+from kreingeo.elements import SpaceElement
+from kreingeo.errors import DivergentNormError, IntegralOverflowError
+from kreingeo.kernels import KernelSpec
+from kreingeo.polygauss import PolyGaussian, gaussian_moments, min_real_eigenvalue
 
 
 def trapezoid_integral(pg, radius=10.0, n=4001):
@@ -89,3 +95,50 @@ def test_sqrt_det_branch_is_continuous():
         values.append(pg.integrate())
     diffs = np.abs(np.diff(values))
     assert diffs.max() < 0.2
+
+
+def test_high_degree_moments_match_closed_form():
+    # int x^(2k) exp(-a x^2/2) dx = (2k-1)!! a^-k sqrt(2 pi / a); degree 1200
+    # is beyond any recursion depth and still inside the float range.
+    a, k = 1000.0, 600
+    log_double_factorial = math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
+    want = math.exp(log_double_factorial - k * math.log(a)) * math.sqrt(2 * math.pi / a)
+    got = PolyGaussian({(2 * k,): 1.0}, [[a]], [0.0]).integrate()
+    assert got.real == pytest.approx(want, rel=1e-10)
+    assert got.imag == 0.0
+
+
+def test_overflowing_moment_raises_named_error():
+    # The true norm is of order 10^9000.
+    e = SpaceElement.gaussian([[1.0]], poly=(3000,))
+    start = time.perf_counter()
+    with pytest.raises(IntegralOverflowError, match="float range"):
+        norm_squared(e, KernelSpec.gaussian(1, 0))
+    assert time.perf_counter() - start < 5.0
+
+
+def reference_moment(gamma, mu, sigma):
+    """E[z^gamma] by the moment recursion, written recursively."""
+    if not any(gamma):
+        return 1.0 + 0.0j
+    i = next(k for k, g in enumerate(gamma) if g)
+    rest = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
+    total = mu[i] * reference_moment(rest, mu, sigma)
+    for j, gj in enumerate(rest):
+        if gj:
+            lower = rest[:j] + (gj - 1,) + rest[j + 1:]
+            total += gj * sigma[i, j] * reference_moment(lower, mu, sigma)
+    return total
+
+
+def test_moments_match_the_recursive_reference():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 4, 8):
+        mu = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        m = rng.normal(size=(3, n, n))
+        sigma = m @ m.transpose(0, 2, 1) + 0.3j * (m + m.transpose(0, 2, 1))
+        gammas = [tuple(int(k) for k in rng.integers(0, 3 if n < 8 else 2, size=n)) for _ in range(4)]
+        got = gaussian_moments(gammas, mu, sigma)
+        for b in range(3):
+            want = [reference_moment(g, mu[b], sigma[b]) for g in gammas]
+            assert np.allclose(got[:, b], want, rtol=1e-13, atol=0)
