@@ -228,12 +228,14 @@ def combined_form_min_eigenvalue(e1: SpaceElement, e2: SpaceElement,
 
     This is the quantity whose sign decides DivergentNormError; exposed so
     tests can check the trigger against an explicit eigenvalue computation.
-    Gaussian pairs are assembled exactly as inner_product assembles them.
+    Gaussian pairs are assembled exactly as inner_product assembles them,
+    and, as there, a pair whose coefficient product is zero is left out.
     """
     worst = np.inf
     for _, _, quad, _, _ in _gauss_pair_stacks(e1.gaussians, e2.gaussians, spec):
         worst = min(worst, float(min_real_eigenvalues(quad).min()))
-    jet_partners = (e1.gaussians if e2.deltas else ()) + (e2.gaussians if e1.deltas else ())
+    jet_partners = [g for g in e1.gaussians if any(g.coeff * np.conj(d.coeff) for d in e2.deltas)]
+    jet_partners += [g for g in e2.gaussians if any(g.coeff * np.conj(d.coeff) for d in e1.deltas)]
     for t in jet_partners:
         worst = min(worst, min_real_eigenvalue(t.quad + spec.signed_quad()))
     return float(worst)

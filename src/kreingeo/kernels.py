@@ -18,6 +18,11 @@ import numpy as np
 GAUSSIAN = "gaussian"
 PERIODIC_SOBOLEV = "periodic_sobolev"
 
+# Elements of the (rows, N, truncation) cosine array of a periodic-Sobolev
+# Gram matrix evaluated at a time, so its memory stays O(N^2) however large
+# the truncation.
+SOBOLEV_BLOCK_ELEMENTS = 1 << 21
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -138,8 +143,12 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     if spec.family == PERIODIC_SOBOLEV:
         diffs = pts[:, 0][:, None] - pts[None, :, 0]
         n = np.arange(1, spec.truncation + 1)
-        series = np.cos(diffs[..., None] * n) / (1.0 + n * n)
-        return (1.0 + 2.0 * series.sum(axis=-1)) / (2.0 * math.pi)
+        rows = max(1, SOBOLEV_BLOCK_ELEMENTS // (len(diffs) * spec.truncation))
+        series = np.empty_like(diffs)
+        for start in range(0, len(diffs), rows):
+            block = diffs[start:start + rows]
+            series[start:start + rows] = (np.cos(block[..., None] * n) / (1.0 + n * n)).sum(axis=-1)
+        return (1.0 + 2.0 * series) / (2.0 * math.pi)
     signs = spec.signature.signs()
     sq = ((pts[:, None, :] - pts[None, :, :]) ** 2 * signs).sum(axis=-1)
     return spec.prefactor() * np.exp(-0.5 * spec.scale ** 2 * sq)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kreingeo.kernels as kernels
 from kreingeo.kernels import (KernelSpec, Signature, gram_matrix, kernel_eval,
                               sobolev_coth_reference, sobolev_kernel_value)
 
@@ -126,3 +127,14 @@ def test_sobolev_gram_matches_pointwise():
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             assert gram[i, j] == pytest.approx(kernel_eval(spec, a, b), rel=1e-12)
+
+
+def test_sobolev_gram_blocks_equal_the_unblocked_sum(monkeypatch):
+    spec = KernelSpec.periodic_sobolev(50)
+    pts = np.linspace(-4.0, 9.0, 7)[:, None]
+    diffs = pts[:, 0][:, None] - pts[None, :, 0]
+    n = np.arange(1, 51)
+    whole = (1.0 + 2.0 * (np.cos(diffs[..., None] * n) / (1.0 + n * n)).sum(axis=-1)) / (2.0 * math.pi)
+    # 800 elements hold two rows of 7 x 50: blocks of 2, 2, 2 and 1 rows.
+    monkeypatch.setattr(kernels, "SOBOLEV_BLOCK_ELEMENTS", 800)
+    assert np.array_equal(gram_matrix(pts, spec), whole)

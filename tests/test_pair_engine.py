@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kreingeo.algebra as algebra
@@ -97,13 +97,16 @@ def test_conjugate_symmetry(case):
 
 @settings(max_examples=30, deadline=None)
 @given(spec_and_mixtures(3), complexes(2.0), complexes(2.0))
+@example((LINE, SpaceElement.delta([0.0], coeff=1.25j), SpaceElement(1, ()),
+          SpaceElement.delta([0.9375], coeff=1j)), 1.256754504744685e-06j, 0j)
 def test_sesquilinearity(case, alpha, beta):
     spec, f, h, g = case
     fg, hg = inner_product(f, g, spec), inner_product(h, g, spec)
-    scale = abs(alpha) * piecewise(f, g, spec)[1] + abs(beta) * piecewise(h, g, spec)[1]
+    fg_scale = piecewise(f, g, spec)[1]
+    scale = abs(alpha) * fg_scale + abs(beta) * piecewise(h, g, spec)[1]
     combo = inner_product(f * alpha + h * beta, g, spec)
     assert abs(combo - (alpha * fg + beta * hg)) <= PROPERTY_RTOL * scale
-    assert abs(inner_product(f, g * alpha, spec) - np.conj(alpha) * fg) <= PROPERTY_RTOL * scale * abs(alpha)
+    assert abs(inner_product(f, g * alpha, spec) - np.conj(alpha) * fg) <= PROPERTY_RTOL * abs(alpha) * fg_scale
 
 
 def test_zero_coefficient_divergent_term_is_skipped():
@@ -113,6 +116,14 @@ def test_zero_coefficient_divergent_term_is_skipped():
     e = good + SpaceElement.gaussian([[2.0]], coeff=0.0)
     assert norm_squared(e, TOY) == norm_squared(good, TOY)
     assert combined_form_min_eigenvalue(e, e, TOY) == combined_form_min_eigenvalue(good, good, TOY)
+
+
+def test_zero_coefficient_delta_partner_is_skipped():
+    # exp(-x^2/4) diverges against the time toy, but with a zero coefficient
+    # its pair with the delta contributes nothing, as in inner_product.
+    e = SpaceElement.gaussian([[0.5]], coeff=0.0) + SpaceElement.delta([0.0])
+    assert inner_product(e, e, TOY) == 1.0
+    assert combined_form_min_eigenvalue(e, e, TOY) > 0
 
 
 def test_divergence_reports_the_predicted_eigenvalue():

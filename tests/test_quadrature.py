@@ -58,6 +58,29 @@ def test_matches_closed_form_on_random_pairs():
             assert abs(closed - quad_val) <= 1e-6 * max(abs(closed), 1e-3)
 
 
+def coupled_element(rng, neg):
+    """Dim-2 Gaussian with an off-diagonal form; Re(a) >= 2.6 on a time axis."""
+    lo = np.array([1.0] * (2 - neg) + [2.6] * neg)
+    quad = np.diag(rng.uniform(lo, lo + 1.2) + 1j * rng.uniform(-0.3, 0.3, size=2))
+    quad[0, 1] = quad[1, 0] = rng.uniform(-0.4, 0.4) + 0.1j * rng.uniform(-1, 1)
+    lin = rng.normal(scale=0.4, size=2) + 1j * rng.normal(scale=0.3, size=2)
+    return SpaceElement.gaussian(quad, lin=lin, coeff=complex(*rng.normal(size=2)),
+                                 poly=tuple(rng.integers(0, 2, size=2)))
+
+
+@pytest.mark.parametrize("signature", [(2, 0), (1, 1)])
+def test_matches_closed_form_on_coupled_pairs(signature):
+    rng = np.random.default_rng(5)
+    spec = KernelSpec.gaussian(*signature)
+    for _ in range(4):
+        e1 = coupled_element(rng, signature[1]) + coupled_element(rng, signature[1])
+        e2 = coupled_element(rng, signature[1])
+        closed = inner_product(e1, e2, spec)
+        scale = math.sqrt(abs(norm_squared(e1, spec) * norm_squared(e2, spec)))
+        quad_val = quadrature_inner_product(e1, e2, spec, QuadratureGrid(48, 8.0))
+        assert abs(closed - quad_val) <= 1e-6 * scale
+
+
 def test_separable_three_dimensional_norm():
     spec = KernelSpec.gaussian(3, 0, scale=2.0, normalized=True)
     f = unit_l2_gaussian(3)
@@ -80,6 +103,16 @@ def test_boundary_growth_detected():
     e = SpaceElement.gaussian([[1.0]])  # norm diverges against the time kernel
     with pytest.raises(DivergentNormError):
         quadrature_inner_product(e, e, spec, QuadratureGrid(48, 8.0))
+
+
+def test_growth_along_either_contracted_side_detected():
+    # The combined form [[9, 1], [1, 0.05]] of this pair is indefinite, but
+    # the integrand grows only along the exp(-0.525 y^2) side.
+    spec = KernelSpec.gaussian(0, 1)
+    narrow, wide = SpaceElement.gaussian([[10.0]]), SpaceElement.gaussian([[1.05]])
+    for e1, e2 in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(DivergentNormError):
+            quadrature_inner_product(e1, e2, spec, QuadratureGrid(48, 8.0))
 
 
 def test_rejects_delta_terms():
