@@ -16,7 +16,7 @@ import numpy as np
 from .elements import DeltaJetTerm, SpaceElement
 from .errors import DegenerateImmersionError, NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
-from .kernels import GAUSSIAN, KernelSpec, gram_matrix
+from .kernels import GAUSSIAN, KernelSpec, gram_matrix, signed_square_distances
 
 _ORTHO_TOL = 1e-12
 
@@ -300,15 +300,17 @@ class DeltaSpanOperator:
             tgt = tgt[:, None]
         if src.shape != tgt.shape or src.shape[0] < 1:
             raise ValueError("sources and targets must be matching nonempty point lists")
-        diffs = np.linalg.norm(src[:, None, :] - src[None, :, :], axis=-1)
+        if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
+            raise ValueError("sources and targets must be finite")
+        sq = signed_square_distances(src, np.ones(src.shape[1]))
+        diffs = np.sqrt(sq)
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() <= 1e-12:
             raise ValueError("source points must be pairwise distinct")
         # Uniqueness of the extension rests on linear independence of the
         # basis deltas; checked through the conditioning of their Gram
-        # matrix under the positive-definite kernel.
-        probe = KernelSpec.gaussian(src.shape[1], 0)
-        smallest = float(np.linalg.eigvalsh(gram_matrix(src, probe))[0])
+        # matrix under the positive-definite unit Gaussian kernel.
+        smallest = float(np.linalg.eigvalsh(np.exp(-0.5 * sq))[0])
         if smallest <= 1e-12:
             raise ValueError(
                 f"source deltas are numerically linearly dependent "

@@ -97,6 +97,15 @@ def test_extend_to_span_rejects_duplicates():
         extend_to_span(PoincareElement.identity(), pts)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_span_rejects_non_finite_points(bad):
+    pts = np.array([[bad, 0, 0, 0], [1.0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="finite"):
+        extend_to_span(PoincareElement.identity(), pts)
+    with pytest.raises(ValueError, match="finite"):
+        DeltaSpanOperator(np.eye(2, 4), pts)
+
+
 def test_span_rejects_numerically_dependent_deltas():
     # Distinct but nearly coincident points fail the Gram conditioning check.
     pts = np.array([[0.0, 0, 0, 0], [1e-7, 0, 0, 0]])

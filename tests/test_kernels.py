@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import kreingeo.kernels as kernels
 from kreingeo.kernels import (KernelSpec, Signature, gram_matrix, kernel_eval,
                               sobolev_coth_reference, sobolev_kernel_value)
 
@@ -129,12 +128,56 @@ def test_sobolev_gram_matches_pointwise():
             assert gram[i, j] == pytest.approx(kernel_eval(spec, a, b), rel=1e-12)
 
 
-def test_sobolev_gram_blocks_equal_the_unblocked_sum(monkeypatch):
-    spec = KernelSpec.periodic_sobolev(50)
-    pts = np.linspace(-4.0, 9.0, 7)[:, None]
+@pytest.mark.parametrize("truncation", [1, 50, 2000])
+def test_sobolev_gram_matches_the_direct_series(truncation):
+    # Points over several periods, negative angles included; the Gram matrix is a
+    # product of cosine/sine feature matrices, so it agrees to rounding only.
+    spec = KernelSpec.periodic_sobolev(truncation)
+    pts = np.concatenate([np.linspace(-13.0, 17.0, 11), [-2 * math.pi, 0.0, 4 * math.pi]])[:, None]
     diffs = pts[:, 0][:, None] - pts[None, :, 0]
-    n = np.arange(1, 51)
-    whole = (1.0 + 2.0 * (np.cos(diffs[..., None] * n) / (1.0 + n * n)).sum(axis=-1)) / (2.0 * math.pi)
-    # 800 elements hold two rows of 7 x 50: blocks of 2, 2, 2 and 1 rows.
-    monkeypatch.setattr(kernels, "SOBOLEV_BLOCK_ELEMENTS", 800)
-    assert np.array_equal(gram_matrix(pts, spec), whole)
+    n = np.arange(1, truncation + 1)
+    direct = (1.0 + 2.0 * (np.cos(diffs[..., None] * n) / (1.0 + n * n)).sum(axis=-1)) / (2.0 * math.pi)
+    assert np.max(np.abs(gram_matrix(pts, spec) - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize("pos, neg, scale, normalized", [
+    (1, 0, 1.0, False), (0, 1, 1.0, False), (3, 1, 1.0, False), (4, 0, 1.0, False),
+    (1, 0, 2.5, False), (0, 1, 2.5, False), (3, 1, 2.5, False), (4, 0, 2.5, False),
+    (1, 0, 2.5, True), (4, 0, 2.5, True)])
+def test_gaussian_gram_equals_the_broadcast_formula(pos, neg, scale, normalized):
+    # The per-axis sum keeps numpy's order, so gram_invariance.csv keeps its bytes.
+    spec = KernelSpec.gaussian(pos, neg, scale=scale, normalized=normalized)
+    pts = np.random.default_rng(11).normal(scale=2.0, size=(40, pos + neg))
+    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2 * spec.signature.signs()).sum(axis=-1)
+    broadcast = spec.prefactor() * np.exp(-0.5 * spec.scale ** 2 * sq)
+    assert np.array_equal(gram_matrix(pts, spec), broadcast)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(3, 1), KernelSpec.periodic_sobolev(2000)],
+                         ids=["gaussian", "sobolev"])
+def test_gram_is_exactly_symmetric(spec):
+    pts = np.random.default_rng(12).uniform(-20.0, 20.0, size=(60, spec.dim))
+    gram = gram_matrix(pts, spec)
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(3, 1), KernelSpec.periodic_sobolev(50)],
+                         ids=["gaussian", "sobolev"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gram_rejects_non_finite_points(spec, bad):
+    pts = np.zeros((2, spec.dim))
+    pts[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gram_matrix(pts, spec)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(3, 1), KernelSpec.periodic_sobolev(50)],
+                         ids=["gaussian", "sobolev"])
+def test_kernel_eval_rejects_non_finite_points(spec):
+    bad = np.zeros(spec.dim)
+    bad[0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        kernel_eval(spec, bad, np.zeros(spec.dim))
+    bad[0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        kernel_eval(spec, np.zeros(spec.dim), bad)
