@@ -13,8 +13,8 @@ import click
 
 from . import __version__
 from .errors import KernelSpaceError, ReportError
-from .experiments import (ExperimentConfig, emit_report, load_config_file,
-                          run_experiment)
+from .experiments import (EXPERIMENTS, ExperimentConfig, emit_report,
+                          load_config_file, run_experiment)
 
 OUT_DIR_ENVVAR = "KREINGEO_OUT"
 
@@ -89,31 +89,11 @@ def main():
     """Kernel-space geometry experiments: run each verification as a subcommand."""
 
 
-def _register(name: str, help_text: str):
-    @main.command(name=name, help=help_text)
+for _name, _experiment in EXPERIMENTS.items():
+    @main.command(name=_name, help=_experiment.help)
     @_experiment_options
-    def _cmd(config_path, seed, out_dir, tolerances, dump_elements, _name=name):
+    def _cmd(config_path, seed, out_dir, tolerances, dump_elements, _name=_name):
         _run(_name, config_path, seed, out_dir, tolerances, dump_elements)
-
-
-_register("norm-convergence",
-          "Norm of the unit-L2 Gaussian vs kernel scale, against the closed "
-          "form and the quadrature oracle.")
-_register("metric-recovery",
-          "Induced metric from kernel derivatives vs the analytic pullback "
-          "on the manifold catalog.")
-_register("gram-invariance",
-          "Invariance of the indefinite Gram matrix under random Poincare "
-          "elements, with span-operator commutativity checks.")
-_register("slice-dynamics",
-          "Schroedinger recovery on time slices: residuals, velocity "
-          "orthogonality, superposition and Galileo transport.")
-_register("circle-topology",
-          "Circle recovery from the periodic Sobolev kernel: wraparound, "
-          "monotone distances, coth cross-check.")
-_register("oracle-check",
-          "Closed form vs quadrature on random pairs, divergence trigger "
-          "fidelity, and Krein sign structure.")
 
 
 @main.command()

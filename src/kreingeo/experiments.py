@@ -1,9 +1,10 @@
 """Reproducible experiment runners behind the command-line interface.
 
-Each experiment consumes an :class:`ExperimentConfig`, runs a deterministic
-computation governed solely by the seed and parameters, writes a CSV data
-file (plus a JSON mirror) for plotting, and returns an
-:class:`ExperimentReport` whose measurements all carry explicit tolerances.
+``EXPERIMENTS`` holds one record per experiment.  :func:`run_experiment`
+runs one from an :class:`ExperimentConfig`: a deterministic computation
+governed solely by the seed and parameters, whose tables it writes as CSV
+data files (plus JSON mirrors) for plotting, and whose
+:class:`ExperimentReport` has measurements that all carry explicit tolerances.
 A measurement passes when its value is less than or equal to its
 tolerance, so deviations are reported as magnitudes and boolean checks as
 violation counts with tolerance zero.
@@ -12,6 +13,7 @@ violation counts with tolerance zero.
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,16 +36,6 @@ from .groups import (AffineMap, DiffeoMap, PoincareElement, act_on_element,
 from .kernels import (KernelSpec, Signature, sobolev_coth_reference,
                       sobolev_kernel_value)
 from .quadrature import QuadratureGrid, nodes_for_scale, quadrature_inner_product
-
-EXPERIMENT_NAMES = (
-    "norm-convergence",
-    "metric-recovery",
-    "gram-invariance",
-    "slice-dynamics",
-    "circle-topology",
-    "oracle-check",
-)
-
 
 @dataclass
 class Measurement:
@@ -91,90 +83,6 @@ class ExperimentReport:
         }
 
 
-DEFAULT_PARAMETERS: dict[str, dict] = {
-    "norm-convergence": {
-        "scales": [1.0, 2.0, 5.0, 10.0, 20.0],
-        "dims": [1, 3],
-        "quad_radius": 8.0,
-    },
-    "metric-recovery": {
-        "manifolds": ["euclidean3", "minkowski31", "sphere2", "flat_torus2", "de_sitter2"],
-        "points_per_manifold": 25,
-        "step": 1e-4,
-        "ratio_steps": [2e-2, 1e-2],
-    },
-    "gram-invariance": {
-        "group_samples": 100,
-        "point_count": 10,
-        "max_rapidity": 2.0,
-        "point_scale": 0.5,
-        "commutativity_samples": 1000,
-        "extra_elements": [],
-    },
-    "slice-dynamics": {
-        "tau_grid": [0.1, 2.0, 10],
-        "packet": {"a0": 0.8, "q0": 0.3, "p0": 1.2},
-        "hamiltonian": {"kind": "harmonic", "mass": 1.0, "frequency": 1.3},
-        "oscillator": {"q0": 0.7, "p0": -0.5},
-        "metrics": ["H_eta", "H_tilde", "H_T"],
-        "perturbation": 0.01,
-        "galileo_samples": 10,
-    },
-    "circle-topology": {
-        "truncation": 2000,
-        "coth_truncation": 400000,
-        "separation_count": 12,
-    },
-    "oracle-check": {
-        "pair_count": 20,
-        "boundary_cases": 50,
-        "parity_samples": 200,
-        "quad_nodes_1d": 96,
-        "quad_nodes_2d": 48,
-        "quad_radius": 8.0,
-    },
-}
-
-DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
-    "norm-convergence": {
-        "closed_form_deviation": 1e-10,
-        "quadrature_relative_deviation": 1e-6,
-        "monotonicity_violations": 0.0,
-    },
-    "metric-recovery": {
-        "metric_relative_deviation": 1e-6,
-        "signature_violations": 0.0,
-        "step_halving_ratio_error": 1.0,
-    },
-    "gram-invariance": {
-        "gram_deviation": 1e-11,
-        "control_margin": 0.0,
-        "commutativity_deviation": 0.0,
-        "composition_deviation": 1e-12,
-    },
-    "slice-dynamics": {
-        "residual_true": 1e-10,
-        "residual_control_margin": 0.0,
-        "fd_oracle_residual": 1e-6,
-        "orthogonality": 1e-8,
-        "superposition_deviation": 1e-12,
-        "galileo_norm_deviation": 1e-12,
-    },
-    "circle-topology": {
-        "wraparound_distance": 1e-10,
-        "monotonicity_violations": 0.0,
-        "coth_deviation": 1e-6,
-    },
-    "oracle-check": {
-        "oracle_relative_deviation": 1e-6,
-        "divergence_mismatches": 0.0,
-        "parity_sign_violations": 0.0,
-        "parity_cross_term": 1e-12,
-        "toy_value_deviation": 1e-9,
-    },
-}
-
-
 @dataclass
 class ExperimentConfig:
     name: str
@@ -188,45 +96,71 @@ class ExperimentConfig:
     def build(cls, name: str, parameters: dict | None = None,
               tolerances: dict | None = None, seed: int = 0,
               out_dir="results", dump_elements: bool = False) -> "ExperimentConfig":
-        if name not in EXPERIMENT_NAMES:
+        """Defaults of experiment ``name`` with each override checked against
+        its default's shape (:func:`_conform`) and ``_DECODERS`` applied."""
+        if name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {name!r}")
-        params = dict(DEFAULT_PARAMETERS[name])
-        for key, value in (parameters or {}).items():
-            if key not in params:
-                raise ValueError(f"unknown parameter {key!r} for experiment {name}")
-            params[key] = value
-        tols = dict(DEFAULT_TOLERANCES[name])
-        for key, value in (tolerances or {}).items():
-            if key not in tols:
-                raise ValueError(f"unknown tolerance {key!r} for experiment {name}")
-            tols[key] = float(value)
-        _check_structured_parameters(name, params)
-        return cls(name, params, tols, int(seed), Path(out_dir), dump_elements)
+        experiment = EXPERIMENTS[name]
+        params = _conform({} if parameters is None else parameters, experiment.parameters,
+                          "parameters")
+        for key, decode in _DECODERS.items():
+            if key in params:
+                try:
+                    params[key] = decode(params[key])
+                except (TypeError, ValueError, KeyError, KernelSpaceError) as ex:
+                    raise ValueError(f"parameters.{key}: {ex}") from ex
+        tols = _conform({} if tolerances is None else tolerances, experiment.tolerances,
+                        "tolerances")
+        return cls(name, params, tols, _conform(seed, 0, "seed"), Path(out_dir), dump_elements)
 
 
-def _check_structured_parameters(name: str, params: dict) -> None:
-    """Decode the parameters that runners parse, so a malformed one is a
-    config error before the run rather than a failure partway through it."""
-    if name not in _STRUCTURED_PARAMETERS:
-        return
-    key, parse = _STRUCTURED_PARAMETERS[name]
-    try:
-        parse(params[key])
-    except (TypeError, ValueError, KeyError, KernelSpaceError) as ex:
-        raise ValueError(f"parameter {key!r}: {ex}") from ex
+def _conform(value, default, where: str):
+    """``value`` checked against the JSON shape of ``default`` and decoded to it.
+
+    A number default takes a finite number (not a boolean), an integer
+    default a whole number, a string a string, a list a list whose items
+    each match the default's first item, and a record a record without
+    unknown keys, its missing keys taking their default values.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: expected a record, got {value!r}")
+        unknown = sorted(set(value) - set(default))
+        if unknown:
+            raise ValueError(f"{where}: unknown keys {unknown}")
+        return {key: _conform(value.get(key, d), d, f"{where}.{key}")
+                for key, d in default.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        if not default:
+            return list(value)
+        return [_conform(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{where}: expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    if isinstance(default, int):
+        if value != int(value):
+            raise ValueError(f"{where}: expected a whole number, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _tau_grid(value) -> np.ndarray:
     """Slice times from a ``[lo, hi, count]`` parameter."""
     lo, hi, count = value
-    if int(count) < 1:
-        raise ValueError("tau_grid needs a count of at least 1")
-    return np.linspace(float(lo), float(hi), int(count))
+    if count != int(count) or count < 1:
+        raise ValueError("tau_grid needs a whole count of at least 1")
+    return np.linspace(lo, hi, int(count))
 
 
-_STRUCTURED_PARAMETERS = {
-    "gram-invariance": ("extra_elements", lambda records: [parse_group_element(r) for r in records]),
-    "slice-dynamics": ("tau_grid", _tau_grid),
+# Parsers for the parameters that runners read as objects, keyed by name.
+_DECODERS = {
+    "tau_grid": _tau_grid,
+    "extra_elements": lambda records: [parse_group_element(r) for r in records],
 }
 
 
@@ -302,28 +236,22 @@ def write_report(cfg: ExperimentConfig, report: ExperimentReport) -> Path:
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_norm_convergence(cfg: ExperimentConfig) -> ExperimentReport:
+def run_norm_convergence(p: dict, rng: np.random.Generator):
     """Norm of the unit-L2 Gaussian under the normalized kernel vs scale."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    scales = [float(L) for L in p["scales"]]
-    dims = [int(d) for d in p["dims"]]
-    radius = float(p["quad_radius"])
-
     rows = []
     closed_dev = 0.0
     quad_dev = 0.0
     monotonicity = 0
     elements = {}
-    for d in dims:
+    for d in p["dims"]:
         f = SpaceElement.gaussian(np.eye(d), coeff=math.pi ** (-0.25 * d))
         elements[f"unit_l2_gaussian_dim{d}"] = f
         previous = None
-        for L in scales:
+        for L in p["scales"]:
             spec = KernelSpec.gaussian(d, 0, scale=L, normalized=True)
             expected = (1.0 + 1.0 / (2.0 * L * L)) ** (-0.5 * d)
             measured = norm_squared(f, spec)
-            grid = QuadratureGrid(nodes_for_scale(L), radius)
+            grid = QuadratureGrid(nodes_for_scale(L), p["quad_radius"])
             quad = quadrature_inner_product(f, f, spec, grid).real
             closed_dev = max(closed_dev, abs(measured - expected))
             quad_dev = max(quad_dev, abs(quad - expected) / expected)
@@ -335,18 +263,12 @@ def run_norm_convergence(cfg: ExperimentConfig) -> ExperimentReport:
             rows.append([d, L, measured, expected, quad,
                          abs(measured - expected), abs(quad - expected) / expected])
 
-    csvs = _emit(cfg, "norm_convergence",
-                 ["dim", "scale", "norm_squared", "closed_form", "quadrature",
-                  "closed_deviation", "quadrature_relative_deviation"], rows)
-    _dump_elements(cfg, "norm_convergence", elements)
-    t = cfg.tolerances
-    measurements = [
-        Measurement("closed_form_deviation", closed_dev, t["closed_form_deviation"]),
-        Measurement("quadrature_relative_deviation", quad_dev, t["quadrature_relative_deviation"]),
-        Measurement("monotonicity_violations", float(monotonicity), t["monotonicity_violations"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    values = {"closed_form_deviation": closed_dev,
+              "quadrature_relative_deviation": quad_dev,
+              "monotonicity_violations": monotonicity}
+    header = ["dim", "scale", "norm_squared", "closed_form", "quadrature",
+              "closed_deviation", "quadrature_relative_deviation"]
+    return values, {"norm_convergence": (header, rows)}, elements
 
 
 def _interior_points(entry, count: int, rng: np.random.Generator,
@@ -357,13 +279,8 @@ def _interior_points(entry, count: int, rng: np.random.Generator,
     return rng.uniform(lo + pad, hi - pad, size=(count, len(lo)))
 
 
-def run_metric_recovery(cfg: ExperimentConfig) -> ExperimentReport:
+def run_metric_recovery(p: dict, rng: np.random.Generator):
     """Induced metric from kernel derivatives vs the analytic pullback."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
-    step = float(p["step"])
-
     rows = []
     tensor_rows = []
     worst = 0.0
@@ -371,10 +288,10 @@ def run_metric_recovery(cfg: ExperimentConfig) -> ExperimentReport:
     for name in p["manifolds"]:
         entry = builtin(name)
         pk = PulledBackKernel(entry.embedding, entry.spec)
-        pts = _interior_points(entry, int(p["points_per_manifold"]), rng, 2.5 * step)
+        pts = _interior_points(entry, p["points_per_manifold"], rng, 2.5 * p["step"])
         expected_signature = None
         for u in pts:
-            got = induced_metric(pk, u, step=step)
+            got = induced_metric(pk, u, step=p["step"])
             want = entry.analytic_metric_at(u)
             scale = max(1.0, float(np.max(np.abs(want.components))))
             dev = float(np.max(np.abs(got.components - want.components))) / scale
@@ -398,27 +315,20 @@ def run_metric_recovery(cfg: ExperimentConfig) -> ExperimentReport:
     pk = PulledBackKernel(entry.embedding, entry.spec)
     u0 = np.array([math.pi / 4.0, 0.7])
     want = entry.analytic_metric_at(u0).components
-    h1, h2 = (float(h) for h in p["ratio_steps"])
+    h1, h2 = p["ratio_steps"]
     err1 = float(np.max(np.abs(induced_metric(pk, u0, step=h1).components - want)))
     err2 = float(np.max(np.abs(induced_metric(pk, u0, step=h2).components - want)))
     ratio = err1 / err2 if err2 > 0 else float("inf")
 
-    csvs = _emit(cfg, "metric_recovery",
-                 ["manifold", "u1", "u2", "u3", "u4", "relative_deviation"], rows)
+    values = {"metric_relative_deviation": worst,
+              "signature_violations": signature_violations,
+              "step_halving_ratio_error": abs(ratio - 4.0)}
     # Recovered tensors: point coordinates then row-major components.
     tensor_header = ["manifold"] + [f"u{i}" for i in range(1, 5)] + [
         f"g{i}{j}" for i in range(1, 5) for j in range(1, 5)]
-    csvs += _emit(cfg, "metric_tensors", tensor_header, tensor_rows)
-    t = cfg.tolerances
-    measurements = [
-        Measurement("metric_relative_deviation", worst, t["metric_relative_deviation"]),
-        Measurement("signature_violations", float(signature_violations),
-                    t["signature_violations"]),
-        Measurement("step_halving_ratio_error", abs(ratio - 4.0),
-                    t["step_halving_ratio_error"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    tables = {"metric_recovery": (["manifold", "u1", "u2", "u3", "u4", "relative_deviation"], rows),
+              "metric_tensors": (tensor_header, tensor_rows)}
+    return values, tables, None
 
 
 def _commutativity_and_composition(rng: np.random.Generator, samples: int):
@@ -467,30 +377,25 @@ def _commutativity_and_composition(rng: np.random.Generator, samples: int):
     return commutativity, composition
 
 
-def run_gram_invariance(cfg: ExperimentConfig) -> ExperimentReport:
+def run_gram_invariance(p: dict, rng: np.random.Generator):
     """Invariance of the indefinite Gram matrix under the space-time group."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
     spec = KernelSpec.gaussian(3, 1)
 
-    points = rng.normal(scale=float(p["point_scale"]),
-                        size=(int(p["point_count"]), 4))
+    points = rng.normal(scale=p["point_scale"], size=(p["point_count"], 4))
     rows = []
     worst = 0.0
-    for i in range(int(p["group_samples"])):
-        g = random_poincare(rng, max_rapidity=float(p["max_rapidity"]))
+    for i in range(p["group_samples"]):
+        g = random_poincare(rng, max_rapidity=p["max_rapidity"])
         dev = check_gram_invariance(g, points, spec)
         worst = max(worst, dev)
         rows.append([i, g.rapidity(), dev])
     # Config-supplied elements (boost/rotation/translation/galileo records)
     # are checked alongside the random sample.
-    for j, record in enumerate(p["extra_elements"]):
-        g = parse_group_element(record)
+    for j, g in enumerate(p["extra_elements"]):
         if isinstance(g, PoincareElement):
             dev = check_gram_invariance(g, points, spec)
             worst = max(worst, dev)
-            rows.append([int(p["group_samples"]) + j, g.rapidity(), dev])
+            rows.append([p["group_samples"] + j, g.rapidity(), dev])
 
     # Negative control: an anisotropic scaling is not an isometry of the
     # positive-definite kernel and must move the Gram matrix visibly.
@@ -500,39 +405,24 @@ def run_gram_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     control_dev = check_gram_invariance(scaling, control_points, control_spec)
 
     commutativity, composition = _commutativity_and_composition(
-        rng, int(p["commutativity_samples"]))
+        rng, p["commutativity_samples"])
 
-    csvs = _emit(cfg, "gram_invariance",
-                 ["sample", "rapidity", "gram_deviation"], rows)
-    t = cfg.tolerances
-    measurements = [
-        Measurement("gram_deviation", worst, t["gram_deviation"]),
-        Measurement("control_margin", 0.1 - control_dev, t["control_margin"]),
-        Measurement("commutativity_deviation", commutativity,
-                    t["commutativity_deviation"]),
-        Measurement("composition_deviation", composition, t["composition_deviation"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    values = {"gram_deviation": worst, "control_margin": 0.1 - control_dev,
+              "commutativity_deviation": commutativity,
+              "composition_deviation": composition}
+    return values, {"gram_invariance": (["sample", "rapidity", "gram_deviation"], rows)}, None
 
 
-def run_slice_dynamics(cfg: ExperimentConfig) -> ExperimentReport:
+def run_slice_dynamics(p: dict, rng: np.random.Generator):
     """Schroedinger recovery, velocity orthogonality and slice identities."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
-    taus = _tau_grid(p["tau_grid"])
-    metrics = tuple(p["metrics"])
-    pk = p["packet"]
-    po = p["oscillator"]
-    hspec = p["hamiltonian"]
-    if hspec.get("kind", "harmonic") != "harmonic":
+    taus = p["tau_grid"]
+    metrics = p["metrics"]
+    pk, po, hspec = p["packet"], p["oscillator"], p["hamiltonian"]
+    if hspec["kind"] != "harmonic":
         raise ValueError("the oscillator family needs a harmonic hamiltonian config")
     paths = [
-        free_packet(float(pk["a0"]), float(pk["q0"]), float(pk["p0"])),
-        coherent_state(float(po["q0"]), float(po["p0"]),
-                       mass=float(hspec.get("mass", 1.0)),
-                       frequency=float(hspec.get("frequency", 1.0))),
+        free_packet(pk["a0"], pk["q0"], pk["p0"]),
+        coherent_state(po["q0"], po["p0"], mass=hspec["mass"], frequency=hspec["frequency"]),
     ]
 
     rows = []
@@ -543,7 +433,7 @@ def run_slice_dynamics(cfg: ExperimentConfig) -> ExperimentReport:
     for path in paths:
         h = path.hamiltonian()
         residual_true = max(residual_true, schrodinger_residual(path, h, taus))
-        perturbed = PerturbedPath(path, float(p["perturbation"]))
+        perturbed = PerturbedPath(path, p["perturbation"])
         residual_control = min(residual_control,
                                schrodinger_residual(perturbed, h, taus))
         for tau in taus:
@@ -571,7 +461,7 @@ def run_slice_dynamics(cfg: ExperimentConfig) -> ExperimentReport:
     slice3 = packet3.slice_element(1.0)
     base_norm = norm_squared(slice3.jets[0][0], spatial_spec(3))
     galileo_dev = 0.0
-    for _ in range(int(p["galileo_samples"])):
+    for _ in range(p["galileo_samples"]):
         g = random_galileo(rng)
         moved = galileo_on_slice(g, slice3)
         galileo_dev = max(galileo_dev, abs(
@@ -580,36 +470,24 @@ def run_slice_dynamics(cfg: ExperimentConfig) -> ExperimentReport:
     fd_oracle = max(pde_residual_fd(paths[0], paths[0].hamiltonian()),
                     pde_residual_fd(paths[1], paths[1].hamiltonian()))
 
-    csvs = _emit(cfg, "slice_dynamics",
-                 ["family", "tau", *(f"orthogonality_{m}" for m in metrics)], rows)
-    _dump_elements(cfg, "slice_dynamics",
-                   {"free_packet_slice": paths[0].psi(tau),
-                    "coherent_state_slice": paths[1].psi(tau)})
-    t = cfg.tolerances
-    measurements = [
-        Measurement("residual_true", residual_true, t["residual_true"]),
-        Measurement("residual_control_margin", 1e-2 - residual_control,
-                    t["residual_control_margin"]),
-        Measurement("fd_oracle_residual", fd_oracle, t["fd_oracle_residual"]),
-        Measurement("orthogonality", orthogonality, t["orthogonality"]),
-        Measurement("superposition_deviation", superposition,
-                    t["superposition_deviation"]),
-        Measurement("galileo_norm_deviation", galileo_dev,
-                    t["galileo_norm_deviation"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    values = {"residual_true": residual_true,
+              "residual_control_margin": 1e-2 - residual_control,
+              "fd_oracle_residual": fd_oracle, "orthogonality": orthogonality,
+              "superposition_deviation": superposition,
+              "galileo_norm_deviation": galileo_dev}
+    header = ["family", "tau", *(f"orthogonality_{m}" for m in metrics)]
+    elements = {"free_packet_slice": paths[0].psi(tau),
+                "coherent_state_slice": paths[1].psi(tau)}
+    return values, {"slice_dynamics": (header, rows)}, elements
 
 
-def run_circle_topology(cfg: ExperimentConfig) -> ExperimentReport:
+def run_circle_topology(p: dict, rng: np.random.Generator):
     """Circle recovery from the periodic Sobolev kernel."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    spec = KernelSpec.periodic_sobolev(int(p["truncation"]))
+    spec = KernelSpec.periodic_sobolev(p["truncation"])
 
     wrap = chordal_distance([0.0], [2.0 * math.pi], spec)
 
-    count = int(p["separation_count"])
+    count = p["separation_count"]
     seps = np.linspace(math.pi / count, math.pi, count)
     distances = [chordal_distance([0.0], [float(s)], spec) for s in seps]
     monotonicity = 0
@@ -621,22 +499,15 @@ def run_circle_topology(cfg: ExperimentConfig) -> ExperimentReport:
 
     # The truncated sum converges to the closed form like 1/(pi N); the
     # cross-check therefore runs at a cutoff large enough for 1e-6.
-    k0 = sobolev_kernel_value(0.0, int(p["coth_truncation"]))
+    k0 = sobolev_kernel_value(0.0, p["coth_truncation"])
     coth_dev = abs(k0 - sobolev_coth_reference())
 
-    rows = [[float(s), d, sobolev_kernel_value(float(s), int(p["truncation"]))]
+    rows = [[float(s), d, sobolev_kernel_value(float(s), p["truncation"])]
             for s, d in zip(seps, distances)]
-    csvs = _emit(cfg, "circle_topology",
-                 ["separation", "chordal_distance", "kernel_value"], rows)
-    t = cfg.tolerances
-    measurements = [
-        Measurement("wraparound_distance", wrap, t["wraparound_distance"]),
-        Measurement("monotonicity_violations", float(monotonicity),
-                    t["monotonicity_violations"]),
-        Measurement("coth_deviation", coth_dev, t["coth_deviation"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    values = {"wraparound_distance": wrap, "monotonicity_violations": monotonicity,
+              "coth_deviation": coth_dev}
+    header = ["separation", "chordal_distance", "kernel_value"]
+    return values, {"circle_topology": (header, rows)}, None
 
 
 def _random_convergent_element(rng: np.random.Generator, dim: int) -> SpaceElement:
@@ -671,22 +542,18 @@ def _random_parity_element(rng: np.random.Generator, odd: bool) -> SpaceElement:
     return element
 
 
-def run_oracle_check(cfg: ExperimentConfig) -> ExperimentReport:
+def run_oracle_check(p: dict, rng: np.random.Generator):
     """Quadrature vs closed form, divergence trigger, and Krein sign structure."""
-    t0 = time.perf_counter()
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
     rows = []
 
     # Closed form vs quadrature on random convergent pairs in dims 1 and 2.
     oracle_dev = 0.0
-    pair_count = int(p["pair_count"])
-    radius = float(p["quad_radius"])
+    pair_count = p["pair_count"]
     dumped = {}
     for i in range(pair_count):
         dim = 1 if i < (pair_count + 1) // 2 else 2
         spec = KernelSpec.gaussian(dim, 0)
-        nodes = int(p["quad_nodes_1d"]) if dim == 1 else int(p["quad_nodes_2d"])
+        nodes = p["quad_nodes_1d"] if dim == 1 else p["quad_nodes_2d"]
         while True:
             e1 = _random_convergent_element(rng, dim)
             e2 = _random_convergent_element(rng, dim)
@@ -694,7 +561,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentReport:
             scale = math.sqrt(norm_squared(e1, spec) * norm_squared(e2, spec))
             if abs(closed) > 0.01 * scale:
                 break
-        quad = quadrature_inner_product(e1, e2, spec, QuadratureGrid(nodes, radius))
+        quad = quadrature_inner_product(e1, e2, spec, QuadratureGrid(nodes, p["quad_radius"]))
         rel = abs(closed - quad) / abs(closed)
         oracle_dev = max(oracle_dev, rel)
         rows.append(["oracle", i, rel])
@@ -705,8 +572,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentReport:
     # DivergentNorm fires exactly when the combined form loses definiteness.
     toy = KernelSpec.gaussian(0, 1)
     mismatches = 0
-    cases = int(p["boundary_cases"])
-    for i in range(cases):
+    for i in range(p["boundary_cases"]):
         if i % 2 == 0:
             a = rng.uniform(2.2, 6.0)  # min eigenvalue a - 2 > 0: convergent
         else:
@@ -726,7 +592,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentReport:
     # Krein sign structure of the time toy, plus the two reference values.
     sign_violations = 0
     cross = 0.0
-    samples = int(p["parity_samples"])
+    samples = p["parity_samples"]
     for i in range(samples):
         even = _random_parity_element(rng, odd=False)
         odd = _random_parity_element(rng, odd=True)
@@ -744,35 +610,99 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentReport:
     toy_dev = max(abs(norm_squared(even_toy, toy) - math.pi / math.sqrt(2.0)),
                   abs(norm_squared(odd_toy, toy) + math.pi / (8.0 * math.sqrt(2.0))))
 
-    csvs = _emit(cfg, "oracle_check", ["section", "case", "value"], rows)
-    _dump_elements(cfg, "oracle_check", dumped)
-    t = cfg.tolerances
-    measurements = [
-        Measurement("oracle_relative_deviation", oracle_dev,
-                    t["oracle_relative_deviation"]),
-        Measurement("divergence_mismatches", float(mismatches),
-                    t["divergence_mismatches"]),
-        Measurement("parity_sign_violations", float(sign_violations),
-                    t["parity_sign_violations"]),
-        Measurement("parity_cross_term", cross, t["parity_cross_term"]),
-        Measurement("toy_value_deviation", toy_dev, t["toy_value_deviation"]),
-    ]
-    return ExperimentReport(cfg.name, cfg.seed, measurements,
-                            time.perf_counter() - t0, csv_files=csvs)
+    values = {"oracle_relative_deviation": oracle_dev,
+              "divergence_mismatches": mismatches,
+              "parity_sign_violations": sign_violations,
+              "parity_cross_term": cross, "toy_value_deviation": toy_dev}
+    return values, {"oracle_check": (["section", "case", "value"], rows)}, dumped
 
 
-RUNNERS = {
-    "norm-convergence": run_norm_convergence,
-    "metric-recovery": run_metric_recovery,
-    "gram-invariance": run_gram_invariance,
-    "slice-dynamics": run_slice_dynamics,
-    "circle-topology": run_circle_topology,
-    "oracle-check": run_oracle_check,
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, CLI help and default configuration.
+
+    ``run(parameters, rng)`` returns the measured value of each tolerance
+    name, the tables to write as ``{stem: (header, rows)}``, and the
+    elements that ``--dump-elements`` writes (None when it writes none).
+    The defaults are the parameter schema that ``ExperimentConfig.build``
+    checks overrides against.
+    """
+
+    run: Callable[[dict, np.random.Generator], tuple[dict, dict, dict | None]]
+    help: str
+    parameters: dict
+    tolerances: dict[str, float]
+
+
+EXPERIMENTS = {
+    "norm-convergence": Experiment(
+        run_norm_convergence,
+        "Norm of the unit-L2 Gaussian vs kernel scale, against the closed "
+        "form and the quadrature oracle.",
+        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [1, 3], "quad_radius": 8.0},
+        {"closed_form_deviation": 1e-10, "quadrature_relative_deviation": 1e-6,
+         "monotonicity_violations": 0.0}),
+    "metric-recovery": Experiment(
+        run_metric_recovery,
+        "Induced metric from kernel derivatives vs the analytic pullback "
+        "on the manifold catalog.",
+        {"manifolds": ["euclidean3", "minkowski31", "sphere2", "flat_torus2", "de_sitter2"],
+         "points_per_manifold": 25, "step": 1e-4, "ratio_steps": [2e-2, 1e-2]},
+        {"metric_relative_deviation": 1e-6, "signature_violations": 0.0,
+         "step_halving_ratio_error": 1.0}),
+    "gram-invariance": Experiment(
+        run_gram_invariance,
+        "Invariance of the indefinite Gram matrix under random Poincare "
+        "elements, with span-operator commutativity checks.",
+        {"group_samples": 100, "point_count": 10, "max_rapidity": 2.0, "point_scale": 0.5,
+         "commutativity_samples": 1000, "extra_elements": []},
+        {"gram_deviation": 1e-11, "control_margin": 0.0, "commutativity_deviation": 0.0,
+         "composition_deviation": 1e-12}),
+    "slice-dynamics": Experiment(
+        run_slice_dynamics,
+        "Schroedinger recovery on time slices: residuals, velocity "
+        "orthogonality, superposition and Galileo transport.",
+        {"tau_grid": [0.1, 2.0, 10],
+         "packet": {"a0": 0.8, "q0": 0.3, "p0": 1.2},
+         "hamiltonian": {"kind": "harmonic", "mass": 1.0, "frequency": 1.3},
+         "oscillator": {"q0": 0.7, "p0": -0.5},
+         "metrics": ["H_eta", "H_tilde", "H_T"],
+         "perturbation": 0.01, "galileo_samples": 10},
+        {"residual_true": 1e-10, "residual_control_margin": 0.0, "fd_oracle_residual": 1e-6,
+         "orthogonality": 1e-8, "superposition_deviation": 1e-12,
+         "galileo_norm_deviation": 1e-12}),
+    "circle-topology": Experiment(
+        run_circle_topology,
+        "Circle recovery from the periodic Sobolev kernel: wraparound, "
+        "monotone distances, coth cross-check.",
+        {"truncation": 2000, "coth_truncation": 400000, "separation_count": 12},
+        {"wraparound_distance": 1e-10, "monotonicity_violations": 0.0,
+         "coth_deviation": 1e-6}),
+    "oracle-check": Experiment(
+        run_oracle_check,
+        "Closed form vs quadrature on random pairs, divergence trigger "
+        "fidelity, and Krein sign structure.",
+        {"pair_count": 20, "boundary_cases": 50, "parity_samples": 200,
+         "quad_nodes_1d": 96, "quad_nodes_2d": 48, "quad_radius": 8.0},
+        {"oracle_relative_deviation": 1e-6, "divergence_mismatches": 0.0,
+         "parity_sign_violations": 0.0, "parity_cross_term": 1e-12,
+         "toy_value_deviation": 1e-9}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    report = RUNNERS[cfg.name](cfg)
+    """Run one experiment from a seeded generator; write its tables, elements and report."""
+    t0 = time.perf_counter()
+    values, tables, elements = EXPERIMENTS[cfg.name].run(
+        cfg.parameters, np.random.default_rng(cfg.seed))
+    csvs = []
+    for stem, (header, rows) in tables.items():
+        csvs += _emit(cfg, stem, header, rows)
+    if elements is not None:
+        _dump_elements(cfg, cfg.name.replace("-", "_"), elements)
+    measurements = [Measurement(name, values[name], tol) for name, tol in cfg.tolerances.items()]
+    report = ExperimentReport(cfg.name, cfg.seed, measurements,
+                              time.perf_counter() - t0, csv_files=csvs)
     write_report(cfg, report)
     return report
 

@@ -8,7 +8,9 @@ Grammar (precedence climbing, ``^`` right-associative, ``**`` an alias):
 
 Variables are ``u1`` .. ``un``; functions are sin, cos, sinh, cosh, exp.
 Evaluation is numpy-aware, so expressions broadcast over point arrays.
-Errors carry 1-based line/column positions.
+Errors carry 1-based line/column positions.  Parentheses, signs, calls and
+operators may nest at most ``MAX_DEPTH`` levels, so parsing and the
+recursive walks over a tree stay far inside Python's recursion limit.
 """
 
 import math
@@ -26,6 +28,8 @@ FUNCTIONS = {
     "cosh": np.cosh,
     "exp": np.exp,
 }
+
+MAX_DEPTH = 100
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _RIGHT_ASSOC = {"^"}
@@ -116,60 +120,73 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        node = self.parse_expr(1)
+        node, _ = self.parse_expr(1, 0)
         kind, value, col = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {value!r}", column=col)
         return node
 
-    def parse_expr(self, min_prec: int) -> Expr:
-        left = self.parse_unary()
+    # The parse methods take the nesting depth of the text being parsed and
+    # return (node, height of its tree); both stay within MAX_DEPTH.
+
+    def parse_expr(self, min_prec: int, depth: int) -> tuple[Expr, int]:
+        _within_limit(depth, self.peek()[2])
+        left, height = self.parse_unary(depth)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, col = self.peek()
             if kind != "op" or value not in _PRECEDENCE:
-                return left
+                return left, height
             prec = _PRECEDENCE[value]
             if prec < min_prec:
-                return left
+                return left, height
             self.advance()
             next_min = prec if value in _RIGHT_ASSOC else prec + 1
-            right = self.parse_expr(next_min)
+            right, right_height = self.parse_expr(next_min, depth + 1)
             left = BinOp(value, left, right)
+            height = _within_limit(max(height, right_height) + 1, col)
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self, depth: int) -> tuple[Expr, int]:
         # Unary minus binds looser than '^' but tighter than '*': -u1^2
         # reads as -(u1^2), matching the usual written convention.
         kind, value, col = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.parse_expr(_PRECEDENCE["^"]))
+            arg, height = self.parse_expr(_PRECEDENCE["^"], depth + 1)
+            return Neg(arg), _within_limit(height + 1, col)
         if kind == "op" and value == "+":
             self.advance()
-            return self.parse_expr(_PRECEDENCE["^"])
-        return self.parse_atom()
+            return self.parse_expr(_PRECEDENCE["^"], depth + 1)
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, depth: int) -> tuple[Expr, int]:
         kind, value, col = self.advance()
         if kind == "number":
-            return Num(value)
+            return Num(value), 0
         if kind == "name":
             m = _VAR_RE.match(value)
             if m:
-                return Var(int(m.group(1)) - 1)
+                return Var(int(m.group(1)) - 1), 0
             if value == "pi":
-                return Num(math.pi)
+                return Num(math.pi), 0
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr(1)
+                arg, height = self.parse_expr(1, depth + 1)
                 self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, arg), _within_limit(height + 1, col)
             raise ExpressionError(f"unknown identifier {value!r}", column=col)
         if kind == "op" and value == "(":
-            node = self.parse_expr(1)
+            parsed = self.parse_expr(1, depth + 1)
             self.expect_op(")")
-            return node
+            return parsed
         label = "end of input" if kind == "end" else repr(value)
         raise ExpressionError(f"expected a value, found {label}", column=col)
+
+
+def _within_limit(levels: int, col: int) -> int:
+    if levels > MAX_DEPTH:
+        raise ExpressionError(f"expression nested more than {MAX_DEPTH} levels deep",
+                              column=col)
+    return levels
 
 
 def parse_expression(text: str) -> Expr:

@@ -276,12 +276,13 @@ GroupElement = PoincareElement | GalileoElement | AffineMap | DiffeoMap
 
 
 def apply_point(g: GroupElement, x) -> np.ndarray:
-    """Action of a group element on a coordinate point."""
-    if isinstance(g, (PoincareElement, GalileoElement, AffineMap)):
-        return g.apply(x)
-    if isinstance(g, DiffeoMap):
-        return g.apply(x)
-    raise TypeError(f"cannot apply object of type {type(g).__name__} to points")
+    """Action of a group element on a finite coordinate point."""
+    if not isinstance(g, (PoincareElement, GalileoElement, AffineMap, DiffeoMap)):
+        raise TypeError(f"cannot apply object of type {type(g).__name__} to points")
+    x = np.asarray(x, dtype=float)
+    if not all(map(math.isfinite, x.ravel().tolist())):
+        raise ValueError(f"point {x.tolist()} is not finite")
+    return g.apply(x)
 
 
 @dataclass(frozen=True)

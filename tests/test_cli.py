@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kreingeo.cli import main
 from kreingeo.experiments import ExperimentConfig, run_experiment
+from kreingeo.groups import GalileoElement, PoincareElement
 
 
 @pytest.fixture
@@ -208,6 +210,12 @@ def test_gram_invariance_extra_elements(runner, tmp_path):
 @pytest.mark.parametrize("experiment, parameters", [
     ("gram-invariance", {"extra_elements": [{"bogus": 1}]}),
     ("slice-dynamics", {"tau_grid": [0.1, 2, "x"]}),
+    ("norm-convergence", {"scales": ["x"]}),
+    ("norm-convergence", {"dims": [1.5]}),
+    ("gram-invariance", {"point_count": "3"}),
+    ("norm-convergence", {"quad_radius": True}),
+    ("slice-dynamics", {"packet": {"a0": 0.8, "bogus": 1}}),
+    ("norm-convergence", {"quad_radius": float("nan")}),
 ])
 def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
     path = tmp_path / "cfg.json"
@@ -217,6 +225,34 @@ def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experim
     assert result.exit_code == 2
     assert "config error:" in result.output
     assert not (tmp_path / "results").exists()
+
+
+def test_partial_record_parameter_takes_missing_keys_from_defaults():
+    cfg = ExperimentConfig.build("slice-dynamics", parameters={"hamiltonian": {"mass": 2}})
+    assert cfg.parameters["hamiltonian"] == {"kind": "harmonic", "mass": 2.0, "frequency": 1.3}
+
+
+def test_build_decodes_parameters_to_their_default_types():
+    cfg = ExperimentConfig.build("norm-convergence", parameters={"quad_radius": 8, "dims": [2.0]})
+    assert type(cfg.parameters["quad_radius"]) is float and cfg.parameters["quad_radius"] == 8.0
+    assert type(cfg.parameters["dims"][0]) is int
+    cfg = ExperimentConfig.build("slice-dynamics", parameters={"tau_grid": [0, 1, 3]})
+    assert isinstance(cfg.parameters["tau_grid"], np.ndarray)
+    assert np.array_equal(cfg.parameters["tau_grid"], [0.0, 0.5, 1.0])
+    cfg = ExperimentConfig.build("gram-invariance", parameters={
+        "extra_elements": [{"boost": [0.6, 0, 0]}, {"galileo": {"v": [1, 0, 0]}}]})
+    boost, galileo = cfg.parameters["extra_elements"]
+    assert isinstance(boost, PoincareElement) and isinstance(galileo, GalileoElement)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seed": 2.7}, {"seed": True}, {"seed": "3"},
+    {"tolerances": {"coth_deviation": "1e-3"}},
+    {"tolerances": {"coth_deviation": float("inf")}},
+])
+def test_build_rejects_a_seed_or_tolerance_of_the_wrong_shape(overrides):
+    with pytest.raises(ValueError, match="seed|tolerances"):
+        ExperimentConfig.build("circle-topology", **overrides)
 
 
 def test_experiment_config_build_rejects_unknowns():

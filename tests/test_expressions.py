@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kreingeo.errors import ExpressionError
-from kreingeo.expressions import (BinOp, Call, Num, Var, evaluate,
+from kreingeo.expressions import (MAX_DEPTH, BinOp, Call, Num, Var, evaluate,
                                   max_var_index, parse_expression, to_string)
 
 # Hand-checked values, ten per primitive function, frozen to full precision.
@@ -102,6 +102,34 @@ def test_missing_operand():
         parse_expression("u1 + ")
     with pytest.raises(ExpressionError):
         parse_expression("* u1")
+
+
+def _nested_sin(x: float, n: int) -> float:
+    for _ in range(n):
+        x = math.sin(x)
+    return x
+
+
+# (text nested n levels deep, its value at u1 = 0.5, column at which any
+# nesting beyond MAX_DEPTH is reported)
+DEPTH_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "u1" + ")" * n, lambda n: 0.5, MAX_DEPTH + 2),
+    "unary-minus": (lambda n: "-" * n + "u1", lambda n: 0.5 * (-1) ** n, MAX_DEPTH + 2),
+    "sum": (lambda n: "+".join(["u1"] * (n + 1)), lambda n: 0.5 * (n + 1), 3 * (MAX_DEPTH + 1)),
+    "sin": (lambda n: "sin(" * n + "u1" + ")" * n, lambda n: _nested_sin(0.5, n),
+            4 * (MAX_DEPTH + 1) + 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_nesting_beyond_max_depth_is_an_expression_error(shape):
+    text, value, column = DEPTH_SHAPES[shape]
+    for n in (MAX_DEPTH + 1, 5000):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text(n))
+        assert err.value.column == column
+    assert evaluate(parse_expression(text(MAX_DEPTH)), [0.5]) == pytest.approx(
+        value(MAX_DEPTH), rel=1e-12)
 
 
 def test_max_var_index():

@@ -106,6 +106,18 @@ def test_span_rejects_non_finite_points(bad):
         DeltaSpanOperator(np.eye(2, 4), pts)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_point_rejects_non_finite_points(bad):
+    elements = [PoincareElement.boost([0.3, 0, 0]), GalileoElement.identity(),
+                AffineMap(np.eye(2), np.zeros(2)),
+                DiffeoMap.from_strings(["u1", "u2"], [(-1.0, 1.0), (-1.0, 1.0)])]
+    for g in elements:
+        point = np.zeros(g.dim if isinstance(g, (AffineMap, DiffeoMap)) else 4)
+        point[0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            apply_point(g, point)
+
+
 def test_span_rejects_numerically_dependent_deltas():
     # Distinct but nearly coincident points fail the Gram conditioning check.
     pts = np.array([[0.0, 0, 0, 0], [1e-7, 0, 0, 0]])
