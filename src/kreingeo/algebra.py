@@ -4,32 +4,45 @@ The sesquilinear form is
 
     (f, g) = prefactor * int int k(x, y) f(x) conj(g(y)) dx dy,
 
-evaluated term pair by term pair.  Gaussian x Gaussian pairs reduce to
-2p-dimensional complex Gaussian integrals; all such pairs of one inner
-product are stacked and integrated as one batch, in chunks of PAIR_CHUNK
-pairs, with the monomial moments shared by each group of pairs that has
-the same exponent pattern.  Delta jets trade integration for kernel
-derivatives through integration by parts, picking up (-1)^|alpha| per jet;
-a delta on the left follows from one on the right by conjugate symmetry,
-(d, g) = conj((g, d)), as the kernel is real and symmetric.  A pair
-integral whose combined quadratic form has a real part with a non-positive
-eigenvalue raises DivergentNormError: the element lies outside the space.
+evaluated over all term pairs at once.  Each pair kind of one inner product
+is stacked and integrated as one batch, in chunks of PAIR_CHUNK pairs, by
+the Gaussian moment engine of polygauss, with the moments of a chunk taken
+in one pass over its exponent patterns where that pass stays small:
+
+* Gaussian x Gaussian pairs are 2p-dimensional complex Gaussian integrals
+  of the monomials poly1 + poly2.
+* Gaussian x jet pairs (g, d^alpha delta_beta): integration by parts moves
+  the jet onto the kernel, with a sign (-1)^|alpha|.  The x-integral at
+  y = beta has the p x p form Q = A + S and linear part l = b + S beta, and
+  the y-derivatives become a moment with negated covariance: one moment of
+  the 2p variables (x, y) with mean [m; S(m - beta)] and covariance
+  [[W, WS], [SW, SWS - S]], where W = Q^-1 and m = W l.
+* Jet x jet pairs are kernel derivatives at (beta1, beta2): the moment with
+  mean -K z0 and covariance -K, for the kernel's form K on (x, y).
+
+A delta on the left follows from one on the right by conjugate symmetry,
+(d, g) = conj((g, d)), as the kernel is real and symmetric.  A pair integral
+whose combined quadratic form has a real part with a non-positive eigenvalue
+raises DivergentNormError: the element lies outside the space.  The pairs
+are checked in the order Gaussian pairs, Gaussian x jet row by row, then
+jet x Gaussian, so the first divergent pair a term-by-term sum would meet
+is the one reported.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
-from .elements import DeltaJetTerm, GaussianTerm, SpaceElement
+from .elements import GaussianTerm, SpaceElement
 from .kernels import GAUSSIAN, KernelSpec, Signature
-from .polygauss import (PD_TOLERANCE, PolyGaussian, divergence_error, gaussian_factors,
-                        gaussian_moments, min_real_eigenvalue, min_real_eigenvalues,
-                        require_finite)
+from .polygauss import (PolyGaussian, gaussian_factors, min_real_eigenvalues, require_convergent,
+                        require_finite, stacked_moments)
 
 IMAG_TOLERANCE = 1e-12
 
-# Gaussian pairs are stacked at most this many at a time, so the (B, 2p, 2p)
-# arrays of a batch stay near a megabyte however many terms the mixtures have.
+# Pairs are stacked at most this many at a time, so the (B, 2p, 2p) arrays
+# of a batch stay near a megabyte however many terms the mixtures have.
 PAIR_CHUNK = 1024
 
 
@@ -42,21 +55,42 @@ def _kernel_blocks(spec: KernelSpec) -> np.ndarray:
     return blocks
 
 
-def _patterns(terms) -> tuple[list, np.ndarray]:
-    """Distinct monomial patterns of ``terms`` and each term's pattern id."""
+def _patterns(keys) -> tuple[list, np.ndarray]:
+    """Distinct monomial patterns of ``keys`` and each key's pattern id."""
     ids: dict = {}
-    pid = np.array([ids.setdefault(t.poly, len(ids)) for t in terms])
+    pid = np.array([ids.setdefault(k, len(ids)) for k in keys], dtype=np.intp)
     return list(ids), pid
+
+
+def _pair_layout(left, right, left_keys, right_keys):
+    """Coefficient products c1 conj(c2) of all pairs, flat in row-major order,
+    and the joined exponent patterns of the pairs with their ids."""
+    coeff = (np.array([t.coeff for t in left])[:, None]
+             * np.array([t.coeff for t in right]).conj()[None, :]).reshape(-1)
+    polys1, pid1 = _patterns(left_keys)
+    polys2, pid2 = _patterns(right_keys)
+    patterns = [a + b for a in polys1 for b in polys2]
+    return coeff, patterns, (pid1[:, None] * len(polys2) + pid2[None, :]).reshape(-1)
+
+
+def _live_chunks(coeff: np.ndarray, width: int):
+    """Row and column indices of the pairs with a nonzero coefficient
+    product, with their flat keys, PAIR_CHUNK pairs at a time."""
+    live = np.flatnonzero(coeff)
+    for start in range(0, live.size, PAIR_CHUNK):
+        keys = live[start:start + PAIR_CHUNK]
+        yield keys, *np.divmod(keys, width)
 
 
 def _gauss_pair_stacks(g1, g2, spec: KernelSpec):
     """The Gaussian pairs (t1, t2) of two term lists, PAIR_CHUNK at a time.
 
     Pairs come in row-major order, leaving out those whose coefficient
-    product is zero.  Each chunk is (keys, coeff, quad, lin, groups): the flat
-    pair indices i * len(g2) + j, the products c1 conj(c2), the combined forms
-    [[S + A1, -S], [-S, S + conj(A2)]], the linear parts (b1, conj(b2)) and,
-    per exponent pattern poly1 + poly2, the pattern and its pairs' positions.
+    product is zero.  Each chunk is (keys, coeff, quad, lin, (patterns, ids)):
+    the flat pair indices i * len(g2) + j, the products c1 conj(c2), the
+    combined forms [[S + A1, -S], [-S, S + conj(A2)]], the linear parts
+    (b1, conj(b2)), and each pair's id in the list of joined exponent
+    patterns poly1 + poly2.
     """
     if not g1 or not g2:
         return
@@ -65,23 +99,14 @@ def _gauss_pair_stacks(g1, g2, spec: KernelSpec):
     quad2 = np.array([t.quad for t in g2]).conj()
     lin1 = np.array([t.lin for t in g1])
     lin2 = np.array([t.lin for t in g2]).conj()
-    coeff = (np.array([t.coeff for t in g1])[:, None]
-             * np.array([t.coeff for t in g2]).conj()[None, :]).reshape(-1)
-    polys1, pid1 = _patterns(g1)
-    polys2, pid2 = _patterns(g2)
+    coeff, patterns, pattern_id = _pair_layout(g1, g2, [t.poly for t in g1], [t.poly for t in g2])
     kernel = _kernel_blocks(spec)
-    live = np.flatnonzero(coeff)
-    for start in range(0, live.size, PAIR_CHUNK):
-        keys = live[start:start + PAIR_CHUNK]
-        i, j = np.divmod(keys, len(g2))
+    for keys, i, j in _live_chunks(coeff, len(g2)):
         quad = np.repeat(kernel[None], keys.size, axis=0)
         quad[:, :p, :p] += quad1[i]
         quad[:, p:, p:] += quad2[j]
         lin = np.concatenate([lin1[i], lin2[j]], axis=1)
-        group = pid1[i] * len(polys2) + pid2[j]
-        groups = [(polys1[gid // len(polys2)] + polys2[gid % len(polys2)], np.flatnonzero(group == gid))
-                  for gid in np.flatnonzero(np.bincount(group)).tolist()]
-        yield keys, coeff[keys], quad, lin, groups
+        yield keys, coeff[keys], quad, lin, (patterns, pattern_id[keys])
 
 
 def _gauss_pair_values(g1, g2, spec: KernelSpec) -> np.ndarray:
@@ -93,45 +118,94 @@ def _gauss_pair_values(g1, g2, spec: KernelSpec) -> np.ndarray:
     definite, and that block sits inside each of the row's combined forms.
     """
     values = np.zeros(len(g1) * len(g2), dtype=complex)
-    for keys, coeff, quad, lin, groups in _gauss_pair_stacks(g1, g2, spec):
-        mins = min_real_eigenvalues(quad)
-        bad = np.flatnonzero(mins <= PD_TOLERANCE)
-        if bad.size:
-            raise divergence_error(float(mins[bad[0]]))
+    for keys, coeff, quad, lin, (patterns, ids) in _gauss_pair_stacks(g1, g2, spec):
+        require_convergent(quad)
         base, mu, sigma = gaussian_factors(quad, lin)
-        moments = np.ones(keys.size, dtype=complex)
-        for gamma, members in groups:
-            if any(gamma):
-                moments[members] = gaussian_moments([gamma], mu[members], sigma[members])[0]
+        moments = stacked_moments(patterns, ids, mu, sigma)
         values[keys] = require_finite(base * (coeff * moments), "a Gaussian pair integral")
     return values.reshape(len(g1), len(g2))
 
 
-def _pair_gauss_delta(tg: GaussianTerm, td: DeltaJetTerm, spec: KernelSpec) -> complex:
-    """(g, d): the y-integral against the jet becomes kernel derivatives at its base."""
-    p = spec.dim
-    quad = _kernel_blocks(spec).copy()
-    quad[:p, :p] += tg.quad
-    lin = np.concatenate([tg.lin, np.zeros(p)])
-    pg = PolyGaussian({tg.poly + (0,) * p: np.conj(td.coeff) * tg.coeff}, quad, lin)
-    for axis, k in enumerate(td.orders, start=p):
-        for _ in range(k):
-            pg = pg.differentiate(axis)
-    fixed = {p + i: td.base[i] for i in range(p)}
-    return (-1.0) ** td.order * pg.substitute(fixed).integrate()
+def _gauss_jet_stacks(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec):
+    """The Gaussian x jet pairs (g, d) of (e1, e2) and of (e2, e1), PAIR_CHUNK at a time.
+
+    The pairs are laid out on a grid whose rows are the Gaussians of e1
+    then of e2 and whose columns are the jets of e2 then of e1; only the
+    two diagonal blocks pair up.  Pairs come in row-major order, leaving
+    out those whose coefficient product is zero.  Each chunk is (keys,
+    coeff, quad, lin, (j, patterns, ids)): the flat pair indices, the
+    products c_g conj(c_d), the x-forms Q = A + S, the linear parts
+    b + S beta, and each pair's jet index and id in the list of joined
+    patterns (poly, alpha).
+    """
+    gs, ds = e1.gaussians + e2.gaussians, e2.deltas + e1.deltas
+    if not (e1.gaussians and e2.deltas or e2.gaussians and e1.deltas):
+        return
+    S = spec.signed_quad()
+    quad = np.array([t.quad for t in gs]) + S
+    lin = np.array([t.lin for t in gs])
+    shift = np.array([t.base for t in ds]) @ S
+    coeff, patterns, pattern_id = _pair_layout(gs, ds, [t.poly for t in gs], [t.orders for t in ds])
+    paired = (np.arange(len(gs)) < len(e1.gaussians))[:, None] == (np.arange(len(ds)) < len(e2.deltas))[None, :]
+    coeff[~paired.reshape(-1)] = 0.0
+    for keys, i, j in _live_chunks(coeff, len(ds)):
+        yield keys, coeff[keys], quad[i], lin[i] + shift[j], (j, patterns, pattern_id[keys])
 
 
-def _pair_delta_delta(t1: DeltaJetTerm, t2: DeltaJetTerm, spec: KernelSpec) -> complex:
-    p = spec.dim
-    pg = PolyGaussian({(0,) * (2 * p): 1.0}, _kernel_blocks(spec), np.zeros(2 * p))
-    for i, k in enumerate(t1.orders):
-        for _ in range(k):
-            pg = pg.differentiate(i)
-    for i, k in enumerate(t2.orders):
-        for _ in range(k):
-            pg = pg.differentiate(p + i)
-    value = pg.evaluate(np.concatenate([t1.base, t2.base]))
-    return (-1.0) ** (t1.order + t2.order) * t1.coeff * np.conj(t2.coeff) * value
+def _jet_signs(ds) -> np.ndarray:
+    """(-1)^|alpha| of each jet, the sign integration by parts leaves."""
+    return np.array([(-1.0) ** t.order for t in ds])
+
+
+def _gauss_jet_values(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec):
+    """The Gaussian x jet and jet x Gaussian blocks of the pair integrals of (e1, e2).
+
+    Raises DivergentNormError for the first pair, Gaussian x jet row by row
+    and then jet x Gaussian, whose x-form A + S does not have a positive
+    definite real part.
+    """
+    gs, ds = e1.gaussians + e2.gaussians, e2.deltas + e1.deltas
+    values = np.zeros(len(gs) * len(ds), dtype=complex)
+    if ds:
+        S = spec.signed_quad()
+        beta = np.array([t.base for t in ds])
+        signs = _jet_signs(ds)
+        # The exponent -1/2 beta^T S beta of the kernel factor that completing
+        # the square leaves; it joins the integral's own exponent.
+        const = -0.5 * np.sum((beta @ S) * beta, axis=1)
+    for keys, coeff, quad, lin, (j, patterns, ids) in _gauss_jet_stacks(e1, e2, spec):
+        require_convergent(quad)
+        base, m, w = gaussian_factors(quad, lin, const[j])
+        ws = w @ S
+        mu = np.concatenate([m, (m - beta[j]) @ S], axis=1)
+        sigma = np.concatenate([np.concatenate([w, ws], axis=2),
+                                np.concatenate([ws.swapaxes(1, 2), S @ ws - S], axis=2)], axis=1)
+        moments = stacked_moments(patterns, ids, mu, sigma)
+        values[keys] = require_finite(base * (coeff * signs[j] * moments), "a Gaussian x jet pair integral")
+    values = values.reshape(len(gs), len(ds))
+    n1, n2 = len(e1.gaussians), len(e2.deltas)
+    return values[:n1, :n2], values[n1:, n2:].T.conj()
+
+
+def _jet_jet_values(d1, d2, spec: KernelSpec) -> np.ndarray:
+    """The (len(d1), len(d2)) array of jet pair values, kernel derivatives
+    at the pairs of base points."""
+    values = np.zeros(len(d1) * len(d2), dtype=complex)
+    if not values.size:
+        return values.reshape(len(d1), len(d2))
+    kernel = _kernel_blocks(spec)
+    base1 = np.array([t.base for t in d1])
+    base2 = np.array([t.base for t in d2])
+    sign = (_jet_signs(d1)[:, None] * _jet_signs(d2)[None, :]).reshape(-1)
+    coeff, patterns, pattern_id = _pair_layout(d1, d2, [t.orders for t in d1], [t.orders for t in d2])
+    for keys, i, j in _live_chunks(coeff, len(d2)):
+        z0 = np.concatenate([base1[i], base2[j]], axis=1)
+        mu = -(z0 @ kernel)
+        sigma = np.broadcast_to(-kernel, (keys.size, *kernel.shape))
+        moments = stacked_moments(patterns, pattern_id[keys], mu, sigma)
+        k = np.exp(0.5 * np.sum(mu * z0, axis=1))
+        values[keys] = require_finite(sign[keys] * coeff[keys] * k * moments, "a jet pair value")
+    return values.reshape(len(d1), len(d2))
 
 
 def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> complex:
@@ -141,17 +215,14 @@ def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> compl
     if e1.dim != spec.dim or e2.dim != spec.dim:
         raise ValueError(f"element dimensions ({e1.dim}, {e2.dim}) do not match kernel dimension {spec.dim}")
     gauss = _gauss_pair_values(e1.gaussians, e2.gaussians, spec)
+    gauss_jet, jet_gauss = _gauss_jet_values(e1, e2, spec)
+    jet_jet = _jet_jet_values(e1.deltas, e2.deltas, spec)
+    # Summed in the order of a loop over the terms of e1, then of e2.
     total = 0.0 + 0.0j
-    for t1, row in zip(e1.gaussians, gauss.tolist()):
-        for value in row:
-            total += value
-        for t2 in e2.deltas:
-            total += _pair_gauss_delta(t1, t2, spec)
-    for t1 in e1.deltas:
-        for t2 in e2.gaussians:
-            total += _pair_gauss_delta(t2, t1, spec).conjugate()
-        for t2 in e2.deltas:
-            total += _pair_delta_delta(t1, t2, spec)
+    rows = np.concatenate([np.concatenate([gauss, gauss_jet], axis=1),
+                           np.concatenate([jet_gauss, jet_jet], axis=1)])
+    for value in rows.ravel().tolist():
+        total += value
     return spec.prefactor() * total
 
 
@@ -228,14 +299,13 @@ def combined_form_min_eigenvalue(e1: SpaceElement, e2: SpaceElement,
 
     This is the quantity whose sign decides DivergentNormError; exposed so
     tests can check the trigger against an explicit eigenvalue computation.
-    Gaussian pairs are assembled exactly as inner_product assembles them,
-    and, as there, a pair whose coefficient product is zero is left out.
+    Gaussian pairs and the x-forms A + S of Gaussian x jet pairs are
+    assembled exactly as inner_product assembles them, and, as there, a pair
+    whose coefficient product is zero is left out.
     """
     worst = np.inf
-    for _, _, quad, _, _ in _gauss_pair_stacks(e1.gaussians, e2.gaussians, spec):
+    stacks = itertools.chain(_gauss_pair_stacks(e1.gaussians, e2.gaussians, spec),
+                             _gauss_jet_stacks(e1, e2, spec))
+    for _, _, quad, _, _ in stacks:
         worst = min(worst, float(min_real_eigenvalues(quad).min()))
-    jet_partners = [g for g in e1.gaussians if any(g.coeff * np.conj(d.coeff) for d in e2.deltas)]
-    jet_partners += [g for g in e2.gaussians if any(g.coeff * np.conj(d.coeff) for d in e1.deltas)]
-    for t in jet_partners:
-        worst = min(worst, min_real_eigenvalue(t.quad + spec.signed_quad()))
     return float(worst)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .algebra import combined_form_min_eigenvalue, inner_product, norm_squared
 from .catalog import builtin
-from .dynamics import (PerturbedPath, TimeSlicedElement, coherent_state, free_packet,
+from .dynamics import (SLICE_METRICS, PerturbedPath, TimeSlicedElement, coherent_state, free_packet,
                        galileo_on_slice, path_velocity, pde_residual_fd,
                        schrodinger_residual, slice_inner_product, slice_norm_squared,
                        spatial_spec)
@@ -121,14 +121,20 @@ def _conform(value, default, where: str):
     default a whole number, a string a string, a list a list whose items
     each match the default's first item, and a record a record without
     unknown keys, its missing keys taking their default values.
+    A :class:`Limited` default also takes only the values its rule admits.
     """
+    if isinstance(default, Limited):
+        value = _conform(value, default.default, where)
+        if not default.admits(value):
+            raise ValueError(f"{where}: expected {default.rule}, got {value!r}")
+        return value
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"{where}: expected a record, got {value!r}")
         unknown = sorted(set(value) - set(default))
         if unknown:
             raise ValueError(f"{where}: unknown keys {unknown}")
-        return {key: _conform(value.get(key, d), d, f"{where}.{key}")
+        return {key: _conform(value[key], d, f"{where}.{key}") if key in value else _plain(d)
                 for key, d in default.items()}
     if isinstance(default, list):
         if not isinstance(value, list):
@@ -147,6 +153,39 @@ def _conform(value, default, where: str):
             raise ValueError(f"{where}: expected a whole number, got {value!r}")
         return int(value)
     return float(value)
+
+
+class Limited:
+    """A default parameter value and the rule for the values it admits."""
+
+    # A plain class: making a dataclass costs most of a millisecond per import.
+    __slots__ = ("default", "admits", "rule")
+
+    def __init__(self, default, admits: Callable[[object], bool], rule: str):
+        self.default, self.admits, self.rule = default, admits, rule
+
+
+def _at_least(low: int, default: int) -> Limited:
+    return Limited(default, lambda v: v >= low, f"at least {low}")
+
+
+def _names_from(names, default) -> Limited:
+    """A name, or a list of names, each from ``names``."""
+    names = tuple(names)
+    if isinstance(default, str):
+        return Limited(default, lambda v: v in names, f"one of {list(names)}")
+    return Limited(default, lambda v: set(v) <= set(names), f"names from {list(names)}")
+
+
+def _plain(default):
+    """The default values of a parameter schema, without their rules."""
+    if isinstance(default, Limited):
+        return _plain(default.default)
+    if isinstance(default, dict):
+        return {key: _plain(d) for key, d in default.items()}
+    if isinstance(default, list):
+        return [_plain(d) for d in default]
+    return default
 
 
 def _tau_grid(value) -> np.ndarray:
@@ -418,8 +457,6 @@ def run_slice_dynamics(p: dict, rng: np.random.Generator):
     taus = p["tau_grid"]
     metrics = p["metrics"]
     pk, po, hspec = p["packet"], p["oscillator"], p["hamiltonian"]
-    if hspec["kind"] != "harmonic":
-        raise ValueError("the oscillator family needs a harmonic hamiltonian config")
     paths = [
         free_packet(pk["a0"], pk["q0"], pk["p0"]),
         coherent_state(po["q0"], po["p0"], mass=hspec["mass"], frequency=hspec["frequency"]),
@@ -625,7 +662,8 @@ class Experiment:
     name, the tables to write as ``{stem: (header, rows)}``, and the
     elements that ``--dump-elements`` writes (None when it writes none).
     The defaults are the parameter schema that ``ExperimentConfig.build``
-    checks overrides against.
+    checks overrides against; a default wrapped in :class:`Limited` also
+    declares the values it admits.
     """
 
     run: Callable[[dict, np.random.Generator], tuple[dict, dict, dict | None]]
@@ -634,27 +672,31 @@ class Experiment:
     tolerances: dict[str, float]
 
 
+# The catalog manifolds with a Gaussian-family kernel and an analytic metric.
+_METRIC_MANIFOLDS = ["euclidean3", "minkowski31", "sphere2", "flat_torus2", "de_sitter2"]
+
 EXPERIMENTS = {
     "norm-convergence": Experiment(
         run_norm_convergence,
         "Norm of the unit-L2 Gaussian vs kernel scale, against the closed "
         "form and the quadrature oracle.",
-        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [1, 3], "quad_radius": 8.0},
+        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [_at_least(1, 1), 3], "quad_radius": 8.0},
         {"closed_form_deviation": 1e-10, "quadrature_relative_deviation": 1e-6,
          "monotonicity_violations": 0.0}),
     "metric-recovery": Experiment(
         run_metric_recovery,
         "Induced metric from kernel derivatives vs the analytic pullback "
         "on the manifold catalog.",
-        {"manifolds": ["euclidean3", "minkowski31", "sphere2", "flat_torus2", "de_sitter2"],
-         "points_per_manifold": 25, "step": 1e-4, "ratio_steps": [2e-2, 1e-2]},
+        {"manifolds": _names_from(_METRIC_MANIFOLDS, _METRIC_MANIFOLDS),
+         "points_per_manifold": 25, "step": 1e-4,
+         "ratio_steps": Limited([2e-2, 1e-2], lambda v: len(v) == 2, "a list of 2 steps")},
         {"metric_relative_deviation": 1e-6, "signature_violations": 0.0,
          "step_halving_ratio_error": 1.0}),
     "gram-invariance": Experiment(
         run_gram_invariance,
         "Invariance of the indefinite Gram matrix under random Poincare "
         "elements, with span-operator commutativity checks.",
-        {"group_samples": 100, "point_count": 10, "max_rapidity": 2.0, "point_scale": 0.5,
+        {"group_samples": 100, "point_count": _at_least(1, 10), "max_rapidity": 2.0, "point_scale": 0.5,
          "commutativity_samples": 1000, "extra_elements": []},
         {"gram_deviation": 1e-11, "control_margin": 0.0, "commutativity_deviation": 0.0,
          "composition_deviation": 1e-12}),
@@ -664,9 +706,11 @@ EXPERIMENTS = {
         "orthogonality, superposition and Galileo transport.",
         {"tau_grid": [0.1, 2.0, 10],
          "packet": {"a0": 0.8, "q0": 0.3, "p0": 1.2},
-         "hamiltonian": {"kind": "harmonic", "mass": 1.0, "frequency": 1.3},
+         # The oscillator family is the harmonic oscillator's coherent state.
+         "hamiltonian": {"kind": _names_from(["harmonic"], "harmonic"), "mass": 1.0,
+                         "frequency": 1.3},
          "oscillator": {"q0": 0.7, "p0": -0.5},
-         "metrics": ["H_eta", "H_tilde", "H_T"],
+         "metrics": _names_from(SLICE_METRICS, list(SLICE_METRICS)),
          "perturbation": 0.01, "galileo_samples": 10},
         {"residual_true": 1e-10, "residual_control_margin": 0.0, "fd_oracle_residual": 1e-6,
          "orthogonality": 1e-8, "superposition_deviation": 1e-12,
@@ -675,7 +719,8 @@ EXPERIMENTS = {
         run_circle_topology,
         "Circle recovery from the periodic Sobolev kernel: wraparound, "
         "monotone distances, coth cross-check.",
-        {"truncation": 2000, "coth_truncation": 400000, "separation_count": 12},
+        {"truncation": _at_least(1, 2000), "coth_truncation": 400000,
+         "separation_count": _at_least(1, 12)},
         {"wraparound_distance": 1e-10, "monotonicity_violations": 0.0,
          "coth_deviation": 1e-6}),
     "oracle-check": Experiment(

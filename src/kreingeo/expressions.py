@@ -250,7 +250,7 @@ def to_string(node: Expr) -> str:
         return f"u{node.index + 1}"
     if isinstance(node, Neg):
         inner = to_string(node.arg)
-        if _node_prec(node.arg) < 3:
+        if _node_prec(node.arg) < 3 and not isinstance(node.arg, Neg):
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Call):

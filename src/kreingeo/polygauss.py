@@ -7,15 +7,24 @@ of the form
 
 with P complex symmetric.  Differentiation and partial substitution stay
 inside the family; full integration over R^n has a closed form whenever
-Re(P) is positive definite.  The integral branch of det(P)^(-1/2) is fixed
-by taking principal logarithms of the eigenvalues of P, all of which have
-positive real part when Re(P) is positive definite.
+Re(P) is positive definite.  The integral branch of det(P)^(1/2) is the
+product of the principal square roots of the pivots of unpivoted
+elimination, all of which have positive real part when Re(P) is positive
+definite.  Convergence is decided by a Cholesky factorization of the
+symmetrized real part; eigenvalues are computed only to report a divergent
+form.
 
 The integral's factors and monomial moments are computed for a whole stack
-of forms at once, so the element algebra can integrate many pairs in one
-pass.  Moments are built bottom-up one total degree at a time, with no
-recursion, and stop with IntegralOverflowError soon after a degree leaves
-the float range.
+of forms at once, so the element algebra integrates all pairs of an inner
+product, of every term kind, in a few passes.  A derivative of a Gaussian
+at a point is a moment too, with the covariance negated:
+
+    d^g exp(-1/2 y^T P y + q.y) at b = exp(-1/2 b^T P b + q.b) M_g(q - P b, -P).
+
+Moments are built bottom-up one total degree at a time, with no recursion,
+and stop with IntegralOverflowError soon after a degree leaves the float
+range.  PolyGaussian keeps the term-by-term calculus for the L2 inner
+product and the time factors of the slice dynamics.
 """
 
 import functools
@@ -34,6 +43,11 @@ PD_TOLERANCE = 1e-10
 # use and never held whole.
 _PLAN_CACHE_STATES = 4096
 
+# A shared moment pass computes every multi-index up to the patterns' union
+# for every pair of a stack; it is taken while pairs x multi-indices stays
+# within this, which holds its per-degree arrays to about a megabyte.
+_SHARED_PASS_STATES = 1 << 13
+
 # Moments are checked for overflow once per this many degrees, which bounds
 # the work done past an overflow without a check on every degree.
 _OVERFLOW_CHECK_DEGREES = 32
@@ -41,11 +55,14 @@ _OVERFLOW_CHECK_DEGREES = 32
 _TWO_PI = 2.0 * np.pi
 
 
+def _real_parts(quad) -> np.ndarray:
+    re = np.asarray(quad).real
+    return 0.5 * (re + np.swapaxes(re, -1, -2))
+
+
 def min_real_eigenvalues(quad) -> np.ndarray:
     """Smallest eigenvalue of the symmetrized real part of each form in a (..., n, n) stack."""
-    re = np.asarray(quad).real
-    sym = 0.5 * (re + np.swapaxes(re, -1, -2))
-    return np.linalg.eigvalsh(sym)[..., 0]
+    return np.linalg.eigvalsh(_real_parts(quad))[..., 0]
 
 
 def min_real_eigenvalue(quad: np.ndarray) -> float:
@@ -53,13 +70,43 @@ def min_real_eigenvalue(quad: np.ndarray) -> float:
     return float(min_real_eigenvalues(quad))
 
 
-def divergence_error(min_eig: float) -> DivergentNormError:
-    """The error for a form whose smallest real-part eigenvalue is ``min_eig``."""
-    return DivergentNormError(
-        f"combined quadratic form is not positive definite "
-        f"(min real-part eigenvalue {min_eig:.3e})",
-        min_eigenvalue=min_eig,
-    )
+def require_convergent(quad) -> None:
+    """Raise DivergentNormError for the first form of a (B, n, n) stack that diverges.
+
+    A form diverges when the symmetrized real part has an eigenvalue
+    <= PD_TOLERANCE.  A Cholesky factorization of sym - 2 PD_TOLERANCE I
+    succeeds for a stack of forms clear of that threshold; only when it fails
+    are the eigenvalues computed, to decide and to report the first bad form.
+    """
+    sym = _real_parts(quad)
+    try:
+        np.linalg.cholesky(sym - 2.0 * PD_TOLERANCE * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError:
+        mins = np.linalg.eigvalsh(sym)[:, 0]
+        bad = np.flatnonzero(mins <= PD_TOLERANCE)
+        if bad.size:
+            min_eig = float(mins[bad[0]])
+            raise DivergentNormError(f"combined quadratic form is not positive definite "
+                                     f"(min real-part eigenvalue {min_eig:.3e})",
+                                     min_eigenvalue=min_eig) from None
+
+
+def sqrt_det(quad: np.ndarray) -> np.ndarray:
+    """det(P)^(1/2) of each form in a (B, n, n) stack whose real parts are positive definite.
+
+    Unpivoted elimination keeps every Schur complement's real part positive
+    definite, so each pivot lies in the right half plane.  The product of
+    their principal square roots is continuous on the forms with positive
+    definite real part and positive on real ones: the analytic branch.
+    """
+    a = np.array(quad, dtype=complex)
+    B, n, _ = a.shape
+    pivots = np.empty((n, B), dtype=complex)
+    for k in range(n):
+        pivot = pivots[k] = a[:, k, k]
+        if k + 1 < n:
+            a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k] / pivot[:, None])[:, :, None] * a[:, None, k, k + 1:]
+    return np.prod(np.sqrt(pivots), axis=0)
 
 
 def require_finite(values, what: str):
@@ -69,23 +116,18 @@ def require_finite(values, what: str):
     return values
 
 
-def gaussian_factors(quad: np.ndarray, lin: np.ndarray, const: complex = 0.0):
+def gaussian_factors(quad: np.ndarray, lin: np.ndarray, const=0.0):
     """Integral of exp(-1/2 z^T P z + q.z + const) over R^n for a stack of forms.
 
-    ``quad`` is (B, n, n) with positive definite real parts and ``lin`` is
-    (B, n).  Returns the integrals (B,) together with the mean P^-1 q (B, n)
+    ``quad`` is (B, n, n) with positive definite real parts, ``lin`` is
+    (B, n) and ``const`` a scalar or (B,).  Returns the integrals (B,) together with the mean P^-1 q (B, n)
     and covariance P^-1 (B, n, n) of the normalized Gaussians.
     """
     n = quad.shape[-1]
-    # All eigenvalues of a complex symmetric matrix with positive definite
-    # real part lie in the right half plane, so principal logs give the
-    # analytic branch of det^(1/2).
-    lam = np.linalg.eigvals(quad)
-    sqrt_det = np.exp(0.5 * np.sum(np.log(lam), axis=-1))
     sigma = np.linalg.inv(quad)
     mu = (sigma @ lin[..., None])[..., 0]
     exponent = (lin[..., None, :] @ sigma @ lin[..., None])[..., 0, 0]
-    base = _TWO_PI ** (0.5 * n) / sqrt_det * np.exp(0.5 * exponent + const)
+    base = _TWO_PI ** (0.5 * n) / sqrt_det(quad) * np.exp(0.5 * exponent + const)
     return base, mu, sigma
 
 
@@ -171,6 +213,32 @@ def gaussian_moments(gammas: list[tuple[int, ...]], mu: np.ndarray,
                 out[k] = cur[:, index[g]]
             if not pending:
                 return out
+
+
+def stacked_moments(gammas: list[tuple[int, ...]], ids: np.ndarray, mu: np.ndarray,
+                    sigma: np.ndarray) -> np.ndarray:
+    """E[z^g] with g = gammas[ids[b]] under the b-th Gaussian of a stack, shape (B,).
+
+    The patterns that occur share one moment pass when the pairs times the
+    multi-indices up to their union stay within _SHARED_PASS_STATES;
+    otherwise each pattern gets a pass over its own pairs, so a large stack
+    or patterns of high degree on different axes never multiply into one
+    large pass.
+    """
+    used = np.flatnonzero(np.bincount(ids, minlength=len(gammas)))
+    wanted = [gammas[k] for k in used.tolist()]
+    out = np.ones(ids.size, dtype=complex)
+    if not any(map(any, wanted)):
+        return out
+    if ids.size * math.prod(k + 1 for k in map(max, zip(*wanted))) <= _SHARED_PASS_STATES:
+        row = np.zeros(len(gammas), dtype=np.intp)
+        row[used] = np.arange(used.size)
+        return gaussian_moments(wanted, mu, sigma)[row[ids], np.arange(ids.size)]
+    for k, gamma in zip(used.tolist(), wanted):
+        if any(gamma):
+            members = np.flatnonzero(ids == k)
+            out[members] = gaussian_moments([gamma], mu[members], sigma[members])[0]
+    return out
 
 
 class PolyGaussian:
@@ -261,17 +329,15 @@ class PolyGaussian:
             total += mono
         return complex(total * np.exp(expo))
 
-    def integrate(self, pd_tolerance: float = PD_TOLERANCE) -> complex:
+    def integrate(self) -> complex:
         """Integral over all of R^n.
 
         Raises DivergentNormError when the symmetrized real part of the
-        quadratic form has an eigenvalue <= ``pd_tolerance``.
+        quadratic form has an eigenvalue <= PD_TOLERANCE.
         """
         if not self.poly:
             return 0.0 + 0.0j
-        min_eig = min_real_eigenvalue(self.quad)
-        if min_eig <= pd_tolerance:
-            raise divergence_error(min_eig)
+        require_convergent(self.quad[None])
         base, mu, sigma = gaussian_factors(self.quad[None], self.lin[None], self.const)
         moments = gaussian_moments(list(self.poly), mu, sigma)[:, 0].tolist()
         total = 0.0 + 0.0j

@@ -227,6 +227,37 @@ def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experim
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("experiment, parameters", [
+    ("circle-topology", {"separation_count": 0}),
+    ("circle-topology", {"truncation": 0}),
+    ("metric-recovery", {"manifolds": ["sphere2", "nope"]}),
+    ("metric-recovery", {"manifolds": ["circle_sobolev"]}),
+    ("slice-dynamics", {"metrics": ["H_eta", "nope"]}),
+    ("slice-dynamics", {"hamiltonian": {"kind": "free"}}),
+    ("metric-recovery", {"ratio_steps": [0.01]}),
+    ("metric-recovery", {"ratio_steps": [0.04, 0.02, 0.01]}),
+    ("gram-invariance", {"point_count": 0}),
+    ("norm-convergence", {"dims": [1, 0]}),
+])
+def test_out_of_range_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": parameters}), encoding="utf-8")
+    result = runner.invoke(main, [experiment, "--config", str(path),
+                                  "--out", str(tmp_path / "results")])
+    assert result.exit_code == 2
+    assert "config error: parameters." in result.output
+    assert not (tmp_path / "results").exists()
+
+
+def test_range_checked_defaults_are_plain_values():
+    cfg = ExperimentConfig.build("metric-recovery", parameters={"manifolds": ["sphere2"]})
+    assert cfg.parameters["manifolds"] == ["sphere2"]
+    assert cfg.parameters["ratio_steps"] == [2e-2, 1e-2]
+    cfg = ExperimentConfig.build("slice-dynamics", parameters={"hamiltonian": {"mass": 2}})
+    assert cfg.parameters["hamiltonian"]["kind"] == "harmonic"
+    assert cfg.parameters["metrics"] == ["H_eta", "H_tilde", "H_T"]
+
+
 def test_partial_record_parameter_takes_missing_keys_from_defaults():
     cfg = ExperimentConfig.build("slice-dynamics", parameters={"hamiltonian": {"mass": 2}})
     assert cfg.parameters["hamiltonian"] == {"kind": "harmonic", "mass": 2.0, "frequency": 1.3}

@@ -157,6 +157,16 @@ def test_round_trip_identical_tree(text):
     assert parse_expression(rendered) == node
 
 
+def test_round_trip_of_a_minus_chain_at_the_depth_limit():
+    # Each unary minus renders as one more '-', not as '-(...)', so a chain
+    # the parser accepts renders to text it accepts.
+    node = parse_expression("-" * MAX_DEPTH + "u1")
+    rendered = to_string(node)
+    assert rendered == "-" * MAX_DEPTH + "u1"
+    assert parse_expression(rendered) == node
+    assert to_string(parse_expression("--(u1 + u2)")) == "--(u1 + u2)"
+
+
 def test_round_trip_builtin_expression_sets():
     from kreingeo.catalog import BUILTIN_EXPRESSIONS
     for exprs in BUILTIN_EXPRESSIONS.values():

@@ -1,8 +1,11 @@
-"""The batched Gaussian-pair engine behind inner_product.
+"""The batched pair engine behind inner_product.
 
 Properties are checked on random mixtures: conjugate symmetry,
 sesquilinearity, and agreement of one stacked batch of B pairs with B
-batches of one pair each (the sum over single-term pieces).
+batches of one pair each (the sum over single-term pieces).  Delta-jet
+pairs are checked against a term-by-term PolyGaussian oracle, the
+elimination determinant against the eigenvalue branch, and the divergence
+decision at the edge of PD_TOLERANCE.
 """
 
 import math
@@ -11,12 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kreingeo.algebra as algebra
 from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, norm_squared
-from kreingeo.elements import DeltaJetTerm, GaussianTerm, SpaceElement
+from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.errors import DivergentNormError
 from kreingeo.kernels import KernelSpec
+from kreingeo.polygauss import PD_TOLERANCE, PolyGaussian, sqrt_det
 
 SIGNATURES = ((1, 0), (2, 0), (3, 0), (4, 0), (3, 1))
 TOY = KernelSpec.gaussian(0, 1)
@@ -190,3 +195,157 @@ def test_norm_of_a_high_degree_monomial():
     value = norm_squared(e, LINE)
     assert math.isfinite(value) and value > 0
     assert value == pytest.approx(brute_force_line(e, e, radius=14.0).real, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Delta-jet pairs, the elimination determinant and the divergence threshold
+
+JET_SIGNATURES = SIGNATURES + ((0, 1),)
+ORACLE_RTOL = 1e-12
+# Each pair's scale is its magnitude plus this fraction of |c1 c2|, so a pair
+# whose value cancels to zero (a kernel derivative at a zero of its Hermite
+# factor) is not held to a bound below its own rounding error.
+CANCELLATION_FLOOR = 1e-4
+
+
+def doubled_kernel_form(spec):
+    S = spec.signed_quad()
+    return np.block([[S, -S], [-S, S]]).astype(complex)
+
+
+def oracle_gauss_jet(g, d, spec):
+    """(g, d) term by term: differentiate the kernel-weighted Gaussian in y,
+    pin y at the jet's base and integrate over x."""
+    p = spec.dim
+    quad = doubled_kernel_form(spec)
+    quad[:p, :p] += g.quad
+    pg = PolyGaussian({g.poly + (0,) * p: g.coeff * np.conj(d.coeff)}, quad,
+                      np.concatenate([g.lin, np.zeros(p)]))
+    for axis, k in enumerate(d.orders, start=p):
+        for _ in range(k):
+            pg = pg.differentiate(axis)
+    return (-1.0) ** d.order * pg.substitute({p + i: d.base[i] for i in range(p)}).integrate()
+
+
+def oracle_jet_jet(d1, d2, spec):
+    """(d1, d2): the kernel differentiated at the pair of base points."""
+    p = spec.dim
+    pg = PolyGaussian({(0,) * (2 * p): 1.0}, doubled_kernel_form(spec), np.zeros(2 * p))
+    for axis, k in enumerate(d1.orders + d2.orders):
+        for _ in range(k):
+            pg = pg.differentiate(axis)
+    value = pg.evaluate(np.concatenate([d1.base, d2.base]))
+    return (-1.0) ** (d1.order + d2.order) * d1.coeff * np.conj(d2.coeff) * value
+
+
+@st.composite
+def coefficients(draw):
+    """Complex coefficients of magnitude 0 or at least 1e-3: products of two
+    stay normal floats, whose relative rounding the bounds assume."""
+    z = draw(complexes(2.0))
+    return z if abs(z) >= 1e-3 else 0j
+
+
+@st.composite
+def jet_mixtures(draw, signature):
+    """Gaussians with monomials up to degree 2 per axis, and jets up to JET_ORDER_CAP."""
+    pos, neg = signature
+    dim = pos + neg
+    gaussians = []
+    for _ in range(draw(st.integers(1, 3))):
+        diag = [draw(st.floats(0.8, 2.0)) for _ in range(pos)] + \
+               [draw(st.floats(2.5, 4.0)) for _ in range(neg)]
+        quad = np.diag(np.array(diag) + 1j * np.array([draw(st.floats(-0.4, 0.4)) for _ in diag]))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                quad[i, j] = quad[j, i] = 0.05 * draw(complexes())
+        lin = np.array([0.5 * draw(complexes()) for _ in range(dim)])
+        poly = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        gaussians.append(GaussianTerm(draw(coefficients()), quad, lin, poly))
+    deltas = []
+    for _ in range(draw(st.integers(1, 3))):
+        orders = [0] * dim
+        for _ in range(draw(st.integers(0, JET_ORDER_CAP))):
+            orders[draw(st.integers(0, dim - 1))] += 1
+        base = [draw(unit) for _ in range(dim)]
+        deltas.append(DeltaJetTerm(draw(coefficients()), base, tuple(orders)))
+    return SpaceElement(dim, tuple(gaussians), tuple(deltas))
+
+
+@st.composite
+def jet_cases(draw):
+    signature = draw(st.sampled_from(JET_SIGNATURES))
+    return KernelSpec.gaussian(*signature), draw(jet_mixtures(signature)), draw(jet_mixtures(signature))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_cases())
+def test_stacked_jet_pairs_match_the_per_pair_oracle(case):
+    spec, e1, e2 = case
+    gauss1, jets1 = SpaceElement(e1.dim, e1.gaussians), SpaceElement(e1.dim, (), e1.deltas)
+    gauss2, jets2 = SpaceElement(e2.dim, e2.gaussians), SpaceElement(e2.dim, (), e2.deltas)
+    blocks = [
+        (gauss1, jets2, [(oracle_gauss_jet(g, d, spec), g.coeff * d.coeff)
+                         for g in e1.gaussians for d in e2.deltas]),
+        (jets1, gauss2, [(np.conj(oracle_gauss_jet(g, d, spec)), g.coeff * d.coeff)
+                         for d in e1.deltas for g in e2.gaussians]),
+        (jets1, jets2, [(oracle_jet_jet(a, b, spec), a.coeff * b.coeff)
+                        for a in e1.deltas for b in e2.deltas]),
+    ]
+    for left, right, pairs in blocks:
+        want = sum(v for v, _ in pairs)
+        scale = sum(abs(v) + CANCELLATION_FLOOR * abs(c) for v, c in pairs)
+        assert abs(inner_product(left, right, spec) - want) <= ORACLE_RTOL * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+    hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))),
+       st.floats(0.0, 3.0))
+def test_elimination_sqrt_det_is_the_eigenvalue_branch(matrices, ratio):
+    m, h = matrices
+    n = m.shape[0]
+    re = m @ m.T + 0.5 * np.eye(n)
+    im = h + h.T
+    if np.abs(im).max() > 0:
+        im = ratio * np.abs(re).max() * (im / np.abs(im).max())
+    quad = (re + 1j * im)[None]
+    want = np.exp(0.5 * np.sum(np.log(np.linalg.eigvals(quad)), axis=-1))[0]
+    assert abs(sqrt_det(quad)[0] - want) <= 1e-12 * abs(want)
+
+
+def threshold_pair(kind, spec, min_eig):
+    """A pair whose one combined form has smallest real-part eigenvalue ``min_eig``
+    on the negative axis, with the other axes far from the threshold."""
+    signs = spec.signature.signs()
+    # Against S = -1 the Gaussian pair form has eigenvalues a - 2 and a,
+    # the Gaussian x jet x-form a - 1; positive axes sit at 1.5 or above.
+    shift = 2.0 if kind == "gauss-gauss" else 1.0
+    e = SpaceElement.gaussian(np.diag(np.where(signs > 0, 1.5, shift + min_eig)))
+    jet = SpaceElement.delta(np.zeros(spec.dim), orders=(0,) * (spec.dim - 1) + (1,))
+    return {"gauss-gauss": (e, e), "gauss-jet": (e, jet), "jet-gauss": (jet, e)}[kind]
+
+
+@pytest.mark.parametrize("signature", [(0, 1), (3, 1)])
+@pytest.mark.parametrize("kind", ["gauss-gauss", "gauss-jet", "jet-gauss"])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3, 2 - 2e-3, 2 + 2e-3])
+def test_divergence_is_decided_at_the_tolerance(signature, kind, factor):
+    spec = KernelSpec.gaussian(*signature)
+    e1, e2 = threshold_pair(kind, spec, factor * PD_TOLERANCE)
+    min_eig = combined_form_min_eigenvalue(e1, e2, spec)
+    assert abs(min_eig - factor * PD_TOLERANCE) <= 1e-3 * PD_TOLERANCE / 4
+    if min_eig <= PD_TOLERANCE:
+        with pytest.raises(DivergentNormError) as err:
+            inner_product(e1, e2, spec)
+        assert err.value.min_eigenvalue == min_eig
+    else:
+        assert np.isfinite(inner_product(e1, e2, spec))
+
+
+def test_far_jet_keeps_its_kernel_factor_inside_the_integral():
+    # (exp(-x^2/2), delta_b) = sqrt(pi) exp(-b^2/4): about 1e-220 at b = 45,
+    # though exp(-b^2/2) alone underflows and exp(b^2/4) nearly overflows.
+    b = 45.0
+    value = inner_product(SpaceElement.gaussian([[1.0]]), SpaceElement.delta([b]), LINE)
+    assert value == pytest.approx(math.sqrt(math.pi) * math.exp(-b * b / 4), rel=1e-12)
