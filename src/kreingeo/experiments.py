@@ -169,6 +169,10 @@ def _at_least(low: int, default: int) -> Limited:
     return Limited(default, lambda v: v >= low, f"at least {low}")
 
 
+def _positive(default: float) -> Limited:
+    return Limited(default, lambda v: v > 0, "a number above 0")
+
+
 def _names_from(names, default) -> Limited:
     """A name, or a list of names, each from ``names``."""
     names = tuple(names)
@@ -680,7 +684,8 @@ EXPERIMENTS = {
         run_norm_convergence,
         "Norm of the unit-L2 Gaussian vs kernel scale, against the closed "
         "form and the quadrature oracle.",
-        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [_at_least(1, 1), 3], "quad_radius": 8.0},
+        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [_at_least(1, 1), 3],
+         "quad_radius": _positive(8.0)},
         {"closed_form_deviation": 1e-10, "quadrature_relative_deviation": 1e-6,
          "monotonicity_violations": 0.0}),
     "metric-recovery": Experiment(
@@ -688,7 +693,7 @@ EXPERIMENTS = {
         "Induced metric from kernel derivatives vs the analytic pullback "
         "on the manifold catalog.",
         {"manifolds": _names_from(_METRIC_MANIFOLDS, _METRIC_MANIFOLDS),
-         "points_per_manifold": 25, "step": 1e-4,
+         "points_per_manifold": _at_least(1, 25), "step": 1e-4,
          "ratio_steps": Limited([2e-2, 1e-2], lambda v: len(v) == 2, "a list of 2 steps")},
         {"metric_relative_deviation": 1e-6, "signature_violations": 0.0,
          "step_halving_ratio_error": 1.0}),
@@ -711,7 +716,7 @@ EXPERIMENTS = {
                          "frequency": 1.3},
          "oscillator": {"q0": 0.7, "p0": -0.5},
          "metrics": _names_from(SLICE_METRICS, list(SLICE_METRICS)),
-         "perturbation": 0.01, "galileo_samples": 10},
+         "perturbation": 0.01, "galileo_samples": _at_least(1, 10)},
         {"residual_true": 1e-10, "residual_control_margin": 0.0, "fd_oracle_residual": 1e-6,
          "orthogonality": 1e-8, "superposition_deviation": 1e-12,
          "galileo_norm_deviation": 1e-12}),
@@ -727,8 +732,9 @@ EXPERIMENTS = {
         run_oracle_check,
         "Closed form vs quadrature on random pairs, divergence trigger "
         "fidelity, and Krein sign structure.",
-        {"pair_count": 20, "boundary_cases": 50, "parity_samples": 200,
-         "quad_nodes_1d": 96, "quad_nodes_2d": 48, "quad_radius": 8.0},
+        {"pair_count": _at_least(1, 20), "boundary_cases": 50, "parity_samples": 200,
+         "quad_nodes_1d": _at_least(2, 96), "quad_nodes_2d": _at_least(2, 48),
+         "quad_radius": _positive(8.0)},
         {"oracle_relative_deviation": 1e-6, "divergence_mismatches": 0.0,
          "parity_sign_violations": 0.0, "parity_cross_term": 1e-12,
          "toy_value_deviation": 1e-9}),

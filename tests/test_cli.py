@@ -238,6 +238,13 @@ def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experim
     ("metric-recovery", {"ratio_steps": [0.04, 0.02, 0.01]}),
     ("gram-invariance", {"point_count": 0}),
     ("norm-convergence", {"dims": [1, 0]}),
+    ("oracle-check", {"quad_nodes_1d": 1}),
+    ("oracle-check", {"quad_nodes_2d": 1}),
+    ("oracle-check", {"quad_radius": -1.0}),
+    ("norm-convergence", {"quad_radius": 0.0}),
+    ("oracle-check", {"pair_count": 0}),
+    ("slice-dynamics", {"galileo_samples": 0}),
+    ("metric-recovery", {"points_per_manifold": 0}),
 ])
 def test_out_of_range_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
     path = tmp_path / "cfg.json"

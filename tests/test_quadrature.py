@@ -7,7 +7,9 @@ from kreingeo.algebra import inner_product, norm_squared
 from kreingeo.elements import SpaceElement
 from kreingeo.errors import DivergentNormError
 from kreingeo.kernels import KernelSpec
-from kreingeo.quadrature import QuadratureGrid, nodes_for_scale, quadrature_inner_product
+from kreingeo import quadrature
+from kreingeo.quadrature import (QuadratureGrid, gauss_legendre, nodes_for_scale,
+                                 quadrature_inner_product)
 
 SQRT_TWO_THIRDS = 0.816496580927726
 PI_OVER_SQRT2 = 2.221441469079183
@@ -124,3 +126,69 @@ def test_rejects_delta_terms():
 def test_nodes_for_scale_grows_with_scale():
     assert nodes_for_scale(1.0) == 96
     assert nodes_for_scale(20.0) == 960
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 96, 97, 960])
+def test_gauss_legendre_is_symmetric_with_weights_summing_to_two(n):
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert w.sum() == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 7, 48, 96, 200])
+def test_gauss_legendre_integrates_even_monomials_exactly(n):
+    x, w = gauss_legendre(n)
+    k = np.arange(n)
+    got = (x[None, :] ** (2 * k[:, None])) @ w
+    np.testing.assert_allclose(got, 2.0 / (2 * k + 1), rtol=1e-13, atol=0)
+
+
+def test_gauss_legendre_agrees_with_leggauss():
+    # Against 40-digit values, leggauss's own weights are off by up to
+    # 8.2e-12 for n <= 96 (at n = 90, where the Newton weights are off by
+    # 1.1e-14), so the weights are compared at that scale.
+    for n in range(2, 97):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15
+        assert np.max(np.abs(w / ref_w - 1)) <= 1e-11
+
+
+def test_gauss_legendre_converges_for_every_degree():
+    # n = 542 stalls one ulp-scale step above 4 eps when every phase is
+    # taken from theta = 0; phases from pi/2 above theta = pi/4 fix it.
+    for n in [*range(2, 201), 240, 480, 542, 960, 1001]:
+        x, w = gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+
+def test_gauss_legendre_weights_at_960_nodes_match_40_digit_values():
+    # Computed once with mpmath at 40 digits (Newton on the three-term
+    # recurrence), rounded to 20 digits: endpoint and centre weights.
+    exact = {959: 8.0436512933654074568e-6, 958: 1.8724005596337262448e-5,
+             957: 2.9419974450555088459e-5, 480: 3.2707839945978482883e-3,
+             481: 3.2707490035874193027e-3, 482: 3.2706790219408968766e-3}
+    x, w = gauss_legendre(960)
+    for i, value in exact.items():
+        assert w[i] == pytest.approx(value, rel=1e-13)
+        assert w[959 - i] == w[i]
+
+
+def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
+    monkeypatch.setattr(quadrature, "NEWTON_PASSES", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gauss_legendre(96)
+
+
+@pytest.mark.parametrize("nodes, radius", [
+    (64.5, 8.0),
+    (True, 8.0),
+    (64, float("nan")),
+    (64, float("inf")),
+])
+def test_grid_rejects_bad_input(nodes, radius):
+    with pytest.raises(ValueError):
+        QuadratureGrid(nodes, radius)
