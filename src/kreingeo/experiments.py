@@ -169,6 +169,10 @@ def _at_least(low: int, default: int) -> Limited:
     return Limited(default, lambda v: v >= low, f"at least {low}")
 
 
+def _nonempty(default) -> Limited:
+    return Limited(default, lambda v: len(v) >= 1, "a nonempty list")
+
+
 def _positive(default: float) -> Limited:
     return Limited(default, lambda v: v > 0, "a number above 0")
 
@@ -684,7 +688,8 @@ EXPERIMENTS = {
         run_norm_convergence,
         "Norm of the unit-L2 Gaussian vs kernel scale, against the closed "
         "form and the quadrature oracle.",
-        {"scales": [1.0, 2.0, 5.0, 10.0, 20.0], "dims": [_at_least(1, 1), 3],
+        {"scales": _nonempty([_positive(1.0), 2.0, 5.0, 10.0, 20.0]),
+         "dims": _nonempty([_at_least(1, 1), 3]),
          "quad_radius": _positive(8.0)},
         {"closed_form_deviation": 1e-10, "quadrature_relative_deviation": 1e-6,
          "monotonicity_violations": 0.0}),
@@ -692,7 +697,7 @@ EXPERIMENTS = {
         run_metric_recovery,
         "Induced metric from kernel derivatives vs the analytic pullback "
         "on the manifold catalog.",
-        {"manifolds": _names_from(_METRIC_MANIFOLDS, _METRIC_MANIFOLDS),
+        {"manifolds": _nonempty(_names_from(_METRIC_MANIFOLDS, _METRIC_MANIFOLDS)),
          "points_per_manifold": _at_least(1, 25), "step": 1e-4,
          "ratio_steps": Limited([2e-2, 1e-2], lambda v: len(v) == 2, "a list of 2 steps")},
         {"metric_relative_deviation": 1e-6, "signature_violations": 0.0,
@@ -701,8 +706,9 @@ EXPERIMENTS = {
         run_gram_invariance,
         "Invariance of the indefinite Gram matrix under random Poincare "
         "elements, with span-operator commutativity checks.",
-        {"group_samples": 100, "point_count": _at_least(1, 10), "max_rapidity": 2.0, "point_scale": 0.5,
-         "commutativity_samples": 1000, "extra_elements": []},
+        {"group_samples": _at_least(1, 100), "point_count": _at_least(1, 10),
+         "max_rapidity": 2.0, "point_scale": 0.5,
+         "commutativity_samples": _at_least(1, 1000), "extra_elements": []},
         {"gram_deviation": 1e-11, "control_margin": 0.0, "commutativity_deviation": 0.0,
          "composition_deviation": 1e-12}),
     "slice-dynamics": Experiment(
@@ -715,7 +721,7 @@ EXPERIMENTS = {
          "hamiltonian": {"kind": _names_from(["harmonic"], "harmonic"), "mass": 1.0,
                          "frequency": 1.3},
          "oscillator": {"q0": 0.7, "p0": -0.5},
-         "metrics": _names_from(SLICE_METRICS, list(SLICE_METRICS)),
+         "metrics": _nonempty(_names_from(SLICE_METRICS, list(SLICE_METRICS))),
          "perturbation": 0.01, "galileo_samples": _at_least(1, 10)},
         {"residual_true": 1e-10, "residual_control_margin": 0.0, "fd_oracle_residual": 1e-6,
          "orthogonality": 1e-8, "superposition_deviation": 1e-12,
@@ -732,8 +738,9 @@ EXPERIMENTS = {
         run_oracle_check,
         "Closed form vs quadrature on random pairs, divergence trigger "
         "fidelity, and Krein sign structure.",
-        {"pair_count": _at_least(1, 20), "boundary_cases": 50, "parity_samples": 200,
-         "quad_nodes_1d": _at_least(2, 96), "quad_nodes_2d": _at_least(2, 48),
+        {"pair_count": _at_least(1, 20), "boundary_cases": _at_least(1, 50),
+         "parity_samples": _at_least(1, 200),
+         "quad_nodes_1d": _at_least(3, 96), "quad_nodes_2d": _at_least(3, 48),
          "quad_radius": _positive(8.0)},
         {"oracle_relative_deviation": 1e-6, "divergence_mismatches": 0.0,
          "parity_sign_violations": 0.0, "parity_cross_term": 1e-12,

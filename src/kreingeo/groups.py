@@ -303,7 +303,7 @@ class DeltaSpanOperator:
             raise ValueError("sources and targets must be matching nonempty point lists")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("sources and targets must be finite")
-        sq = signed_square_distances(src, np.ones(src.shape[1]))
+        sq = signed_square_distances(src.T, src.T, np.ones(src.shape[1]))
         diffs = np.sqrt(sq)
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() <= 1e-12:

@@ -10,6 +10,8 @@ Two kernel families are supported:
   space of 2pi-periodic functions on the line.
 
 Gram matrices are built without (N, N, d) or (N, N, T) arrays; see ``gram_matrix``.
+The Gaussian one is built in blocks of ``GRAM_BLOCK_ROWS`` rows over its upper
+triangle, each mirrored into the lower one: O(N^2) output, O(block * N) scratch.
 """
 
 import math
@@ -19,6 +21,10 @@ import numpy as np
 
 GAUSSIAN = "gaussian"
 PERIODIC_SOBOLEV = "periodic_sobolev"
+
+# Rows per block of the Gaussian Gram build: in per-call timings on (3, 1) point sets of
+# 200-2000 points, 64 was fastest or level with 16-256.  A (64, 2000) block is 1 MB.
+GRAM_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -130,11 +136,26 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return spec.prefactor() * math.exp(exponent)
 
 
-def signed_square_distances(pts: np.ndarray, signs) -> np.ndarray:
-    """sum_k signs[k] (x_ik - x_jk)^2, one axis at a time: bit for bit numpy's sum over < 8 axes."""
-    sq = np.zeros((len(pts), len(pts)))
-    for k, sign in enumerate(signs):
-        sq += (pts[:, k, None] - pts[None, :, k]) ** 2 * sign
+def signed_square_distances(xs, ys, signs, out=None) -> np.ndarray:
+    """(m, n) matrix of sum_k signs[k] (x_ik - y_jk)^2 for points given axis by axis.
+
+    ``xs`` and ``ys`` have shapes (d, m) and (d, n), and each sign is +1 or -1.  The sum
+    starts at 0 and adds or subtracts each axis's squared difference in axis order: numpy's
+    broadcast sum over < 8 axes, bit for bit, and exactly the transpose of the (ys, xs)
+    matrix, since (a - b)^2 == (b - a)^2 in floating point.  Rows of ``xs`` and ``ys`` with
+    unit stride keep the subtraction vectorised.
+    """
+    sq = np.empty((len(xs[0]), len(ys[0]))) if out is None else out
+    xs = xs[:, :, None]  # row k is a column against ys[k]
+    # Outputs are passed by position: the out= keyword costs about 1 us a call, felt at N = 10.
+    np.square(np.subtract(xs[0], ys[0], sq), sq)
+    if signs[0] < 0:
+        np.subtract(0.0, sq, sq)  # 0 - d^2 keeps a zero distance +0, as 0 + (-d^2) does
+    if len(signs) > 1:
+        tmp = np.empty_like(sq)
+        for k in range(1, len(signs)):
+            np.square(np.subtract(xs[k], ys[k], tmp), tmp)
+            (np.add if signs[k] > 0 else np.subtract)(sq, tmp, sq)
     return sq
 
 
@@ -142,7 +163,11 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel matrix of a list of finite points, exactly symmetric.
 
     Sobolev: cos(n(x-y)) = cos(nx)cos(ny) + sin(nx)sin(ny), so the series is (C/w) C^T + (S/w) S^T
-    with (N, T) feature matrices C, S and w_n = 1+n^2: O(N*T + N^2) memory.  Gaussian: O(N^2).
+    with (N, T) feature matrices C, S and w_n = 1+n^2: O(N*T + N^2) memory.  Gaussian: blocks of
+    ``GRAM_BLOCK_ROWS`` rows over columns i0..N, each built in one reused (block, N) scratch from
+    per-axis coordinate rows (``signed_square_distances``, then times -s^2/2, exp and the
+    prefactor) and mirrored into the rows below it: O(N^2) output, O(block * N) scratch, and
+    every entry bit for bit the whole-matrix formula.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -158,5 +183,18 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
         cos, sin, w = np.cos(pts * n), np.sin(pts * n), 1.0 + n * n
         series = (cos / w) @ cos.T + (sin / w) @ sin.T
         return (1.0 + (series + series.T)) / (2.0 * math.pi)  # 2 * series, exactly symmetric
-    sq = signed_square_distances(pts, spec.signature.signs())
-    return spec.prefactor() * np.exp(-0.5 * spec.scale ** 2 * sq)
+    n = len(pts)
+    cols = np.ascontiguousarray(pts.T)
+    signs, factor, prefactor = spec.signature.signs(), -0.5 * spec.scale ** 2, spec.prefactor()
+    gram = np.empty((n, n))
+    scratch = np.empty(min(GRAM_BLOCK_ROWS, n) * n)
+    for i0 in range(0, n, GRAM_BLOCK_ROWS):
+        i1 = min(i0 + GRAM_BLOCK_ROWS, n)
+        block = scratch[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        signed_square_distances(cols[:, i0:i1], cols[:, i0:], signs, out=block)
+        np.exp(np.multiply(block, factor, block), block)
+        if prefactor != 1.0:  # times 1.0 is exact
+            np.multiply(block, prefactor, block)
+        gram[i0:i1, i0:] = block
+        gram[i1:, i0:i1] = block[:, i1 - i0:].T
+    return gram

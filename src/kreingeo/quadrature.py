@@ -111,8 +111,9 @@ class QuadratureGrid:
     def __post_init__(self):
         if isinstance(self.nodes, bool) or not isinstance(self.nodes, numbers.Integral):
             raise ValueError(f"quadrature node count must be an integer, got {self.nodes!r}")
-        if self.nodes < 2:
-            raise ValueError("need at least two quadrature nodes")
+        if self.nodes < 3:
+            raise ValueError("need at least three quadrature nodes, so that each axis has an "
+                             f"interior node for the boundary decay check, got {self.nodes}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"domain radius must be positive and finite, got {self.radius!r}")
 

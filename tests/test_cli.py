@@ -245,6 +245,17 @@ def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experim
     ("oracle-check", {"pair_count": 0}),
     ("slice-dynamics", {"galileo_samples": 0}),
     ("metric-recovery", {"points_per_manifold": 0}),
+    ("oracle-check", {"boundary_cases": 0}),
+    ("oracle-check", {"parity_samples": 0}),
+    ("gram-invariance", {"group_samples": 0}),
+    ("gram-invariance", {"commutativity_samples": 0}),
+    ("norm-convergence", {"scales": []}),
+    ("norm-convergence", {"dims": []}),
+    ("metric-recovery", {"manifolds": []}),
+    ("oracle-check", {"quad_nodes_1d": 2}),
+    ("oracle-check", {"quad_nodes_2d": 2}),
+    ("slice-dynamics", {"metrics": []}),
+    ("norm-convergence", {"scales": [0.0]}),
 ])
 def test_out_of_range_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
     path = tmp_path / "cfg.json"

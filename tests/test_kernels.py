@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kreingeo.kernels import (KernelSpec, Signature, gram_matrix, kernel_eval,
+from kreingeo.groups import DeltaSpanOperator
+from kreingeo.kernels import (GRAM_BLOCK_ROWS, KernelSpec, Signature, gram_matrix, kernel_eval,
                               sobolev_coth_reference, sobolev_kernel_value)
 
 COTH_PI_HALF = 0.5018709365986606  # cosh(pi)/sinh(pi)/2
@@ -181,3 +182,35 @@ def test_kernel_eval_rejects_non_finite_points(spec):
     bad[0] = math.nan
     with pytest.raises(ValueError, match="finite"):
         kernel_eval(spec, np.zeros(spec.dim), bad)
+
+
+BLOCK_SIZES = [GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1,
+               2 * GRAM_BLOCK_ROWS + 3, 300]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("pos, neg, scale, normalized", [
+    (1, 0, 1.0, False), (0, 1, 1.0, False), (3, 1, 1.0, False), (4, 0, 1.0, False),
+    (1, 0, 2.5, False), (0, 1, 2.5, False), (3, 1, 2.5, False), (4, 0, 2.5, False),
+    (1, 0, 2.5, True), (4, 0, 2.5, True)])
+def test_blocked_gaussian_gram_equals_the_broadcast_formula(pos, neg, scale, normalized, n):
+    # Point counts around the row-block size check the tiling and the mirrored lower triangle.
+    spec = KernelSpec.gaussian(pos, neg, scale=scale, normalized=normalized)
+    pts = np.random.default_rng(13).normal(scale=2.0, size=(n, pos + neg))
+    pts[-1] = pts[0]  # a repeated point across blocks: a zero distance off the diagonal
+    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2 * spec.signature.signs()).sum(axis=-1)
+    broadcast = spec.prefactor() * np.exp(-0.5 * spec.scale ** 2 * sq)
+    gram = gram_matrix(pts, spec)
+    assert np.array_equal(gram, broadcast)
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_span_operator_rejects_near_duplicate_and_dependent_points(n):
+    pts = np.random.default_rng(14).normal(scale=n, size=(n, 4))
+    DeltaSpanOperator(pts, pts)
+    for offset, match in [(1e-13, "pairwise distinct"), (1e-7, "linearly dependent")]:
+        near = pts.copy()
+        near[-1] = near[0] + offset
+        with pytest.raises(ValueError, match=match):
+            DeltaSpanOperator(near, near)

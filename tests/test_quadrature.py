@@ -192,3 +192,10 @@ def test_gauss_legendre_raises_when_newton_does_not_converge(monkeypatch):
 def test_grid_rejects_bad_input(nodes, radius):
     with pytest.raises(ValueError):
         QuadratureGrid(nodes, radius)
+
+
+def test_grid_needs_an_interior_node():
+    # With two nodes both are edge nodes, and the decay check would reject every integrand.
+    with pytest.raises(ValueError, match="interior node"):
+        QuadratureGrid(2, 8.0)
+    assert len(QuadratureGrid(3, 8.0).points()[0]) == 3
