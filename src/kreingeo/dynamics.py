@@ -8,8 +8,15 @@ coincidence:
                                  * (psi1, psi2)_spatial,
 
 where kappa is exp(+(t-s)^2/2) for the indefinite metric, exp(-(t-s)^2/2)
-for the positive space-time metric, and the co-moving shift of the latter
-for the H_T metric.  All three factors are critical at coincidence, which
+for the positive space-time metric, and exp(+(t+s-2 tau)^2/2), the
+co-moving shift of the latter, for the H_T metric.  Each is exp(+-y^2/2) in
+one variable y that vanishes at coincidence, and d^n/dy^n exp(+-y^2/2) at
+y = 0 is (+-1)^(n/2) (n-1)!! for even n and 0 for odd n.  With n = m1 + m2
+and d/ds = -d/dy for y = t - s, kappa^(m1,m2) is 0 for odd n and, for even n,
+
+    H_eta:   (-1)^m2 (n-1)!!,   H_tilde: (-1)^(m2+n/2) (n-1)!!,   H_T: (n-1)!!,
+
+at every slice time.  All three factors are critical at coincidence, which
 is what makes the two components of the path velocity orthogonal.
 
 Analytic solution families (free packets, harmonic coherent states) are
@@ -23,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import inner_product
-from .elements import GaussianTerm, SpaceElement
+from .elements import SpaceElement
 from .groups import GalileoElement
 from .kernels import KernelSpec
-from .polygauss import PolyGaussian
 
 SLICE_METRICS = ("H_eta", "H_tilde", "H_T")
 
@@ -87,36 +93,18 @@ def _check_same_slice(s1: TimeSlicedElement, s2: TimeSlicedElement):
             "the elements belong to different subspaces")
 
 
-def _time_factor(kind: str, tau: float) -> PolyGaussian:
-    """The kernel's time factor kappa(t, s) as a 2-variable Gaussian."""
-    if kind == "H_eta":
-        quad = [[-1.0, 1.0], [1.0, -1.0]]
-        lin = [0.0, 0.0]
-        const = 0.0
-    elif kind == "H_tilde":
-        quad = [[1.0, -1.0], [-1.0, 1.0]]
-        lin = [0.0, 0.0]
-        const = 0.0
-    elif kind == "H_T":
-        # Co-moving representation: envelopes exp(+(t-tau)^2) restore the
-        # flat positive kernel after the time shift.
-        quad = [[-1.0, -1.0], [-1.0, -1.0]]
-        lin = [-2.0 * tau, -2.0 * tau]
-        const = 2.0 * tau * tau
-    else:
-        raise ValueError(f"unknown slice metric {kind!r}; choose from {SLICE_METRICS}")
-    return PolyGaussian({(0, 0): 1.0}, quad, lin, const)
-
-
 def time_factor_derivative(kind: str, m1: int, m2: int, tau: float) -> float:
-    """d^m1/dt d^m2/ds of the time factor at coincidence t = s = tau."""
-    pg = _time_factor(kind, tau)
-    for _ in range(m1):
-        pg = pg.differentiate(0)
-    for _ in range(m2):
-        pg = pg.differentiate(1)
-    value = pg.evaluate([tau, tau])
-    return float(value.real)
+    """d^m1/dt d^m2/ds of the time factor at coincidence t = s = tau.
+
+    The closed form of the module docstring; it does not depend on ``tau``.
+    """
+    if kind not in SLICE_METRICS:
+        raise ValueError(f"unknown slice metric {kind!r}; choose from {SLICE_METRICS}")
+    n = m1 + m2
+    if n % 2:
+        return 0.0
+    flips = {"H_eta": m2, "H_tilde": m2 + n // 2, "H_T": 0}[kind]
+    return float((-1) ** flips * math.prod(range(n - 1, 0, -2)))
 
 
 def slice_inner_product(s1: TimeSlicedElement, s2: TimeSlicedElement,
@@ -263,22 +251,17 @@ class EvolutionPath:
         return SpaceElement.gaussian(quad, lin=b, coeff=np.exp(c))
 
     def psi_t(self, tau: float) -> SpaceElement:
-        """Exact time derivative as a polynomial-Gaussian element."""
-        a, b, c = self.coefficients(tau)
+        """Exact time derivative (cdot + bdot.x - adot |x|^2 / 2) psi."""
+        psi = self.psi(tau)
         adot, bdot, cdot = self.coefficient_rates(tau)
-        quad = a * np.eye(self.space_dim)
-        coeff = np.exp(c)
-        terms = [GaussianTerm(cdot * coeff, quad, b)]
+        result = cdot * psi
         for axis in range(self.space_dim):
+            x_psi = psi.mul_coord(axis)
             if bdot[axis] != 0:
-                mono = [0] * self.space_dim
-                mono[axis] = 1
-                terms.append(GaussianTerm(bdot[axis] * coeff, quad, b, tuple(mono)))
+                result = result + bdot[axis] * x_psi
             if adot != 0:
-                mono = [0] * self.space_dim
-                mono[axis] = 2
-                terms.append(GaussianTerm(-0.5 * adot * coeff, quad, b, tuple(mono)))
-        return SpaceElement(self.space_dim, tuple(terms))
+                result = result + (-0.5 * adot) * x_psi.mul_coord(axis)
+        return result
 
     def value(self, x, t: float) -> np.ndarray:
         """Pointwise psi(x, t); x is a scalar, vector, or array of points."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Signature
+from .polygauss import mul_linear
 
 JET_ORDER_CAP = 2
 
@@ -72,24 +73,33 @@ class GaussianTerm:
     def dim(self) -> int:
         return self.lin.shape[0]
 
+    def _sibling(self, coeff: complex, poly=None, quad=None, lin=None) -> "GaussianTerm":
+        """A term on this term's validated form, or on its conjugate or reflection.
+
+        Only the new coefficient is checked, for finiteness; ``poly``,
+        ``quad`` and ``lin`` default to this term's own.
+        """
+        coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError("Gaussian term coefficient must be finite")
+        twin = object.__new__(GaussianTerm)
+        object.__setattr__(twin, "coeff", coeff)
+        object.__setattr__(twin, "quad", self.quad if quad is None else quad)
+        object.__setattr__(twin, "lin", self.lin if lin is None else lin)
+        object.__setattr__(twin, "poly", self.poly if poly is None else poly)
+        return twin
+
     def scaled(self, factor: complex) -> "GaussianTerm":
-        return GaussianTerm(self.coeff * factor, self.quad, self.lin, self.poly)
+        return self._sibling(self.coeff * factor)
 
     def conjugated(self) -> "GaussianTerm":
-        """The complex-conjugate term; it inherits this term's validation."""
-        twin = object.__new__(GaussianTerm)
-        object.__setattr__(twin, "coeff", self.coeff.conjugate())
-        object.__setattr__(twin, "quad", self.quad.conj())
-        object.__setattr__(twin, "lin", self.lin.conj())
-        object.__setattr__(twin, "poly", self.poly)
-        return twin
+        return self._sibling(self.coeff.conjugate(), quad=self.quad.conj(), lin=self.lin.conj())
 
     def reflected(self, signature: Signature) -> "GaussianTerm":
         """Composition with the reflection of all negative-signature coordinates."""
         r = signature.signs()
         sign = (-1.0) ** sum(k for k, s in zip(self.poly, r) if s < 0)
-        quad = self.quad * np.outer(r, r)
-        return GaussianTerm(self.coeff * sign, quad, self.lin * r, self.poly)
+        return self._sibling(self.coeff * sign, quad=self.quad * np.outer(r, r), lin=self.lin * r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,32 +248,21 @@ class SpaceElement:
         self._require_gaussian_only("differentiation")
         if not 0 <= axis < self.dim:
             raise ValueError("axis out of range")
-        terms = []
-        for t in self.gaussians:
-            if t.poly[axis] > 0:
-                lower = list(t.poly)
-                lower[axis] -= 1
-                terms.append(GaussianTerm(t.coeff * t.poly[axis], t.quad, t.lin, tuple(lower)))
-            if t.lin[axis] != 0:
-                terms.append(GaussianTerm(t.coeff * t.lin[axis], t.quad, t.lin, t.poly))
-            for j in range(self.dim):
-                if t.quad[axis, j] != 0:
-                    upper = list(t.poly)
-                    upper[j] += 1
-                    terms.append(GaussianTerm(-t.coeff * t.quad[axis, j], t.quad, t.lin, tuple(upper)))
-        return SpaceElement(self.dim, tuple(terms))
+        return self._map_polys(lambda t: mul_linear({t.poly: t.coeff}, -t.quad[axis],
+                                                    t.lin[axis], axis))
 
     def mul_coord(self, axis: int) -> "SpaceElement":
         """Multiplication by the coordinate function z_axis (Gaussian terms only)."""
         self._require_gaussian_only("coordinate multiplication")
         if not 0 <= axis < self.dim:
             raise ValueError("axis out of range")
-        terms = []
-        for t in self.gaussians:
-            upper = list(t.poly)
-            upper[axis] += 1
-            terms.append(GaussianTerm(t.coeff, t.quad, t.lin, tuple(upper)))
-        return SpaceElement(self.dim, tuple(terms))
+        row = np.eye(self.dim)[axis]
+        return self._map_polys(lambda t: mul_linear({t.poly: t.coeff}, row))
+
+    def _map_polys(self, step) -> "SpaceElement":
+        """Each Gaussian term t replaced by the terms of the polynomial ``step(t)``."""
+        return SpaceElement(self.dim, tuple(t._sibling(c, g) for t in self.gaussians
+                                            for g, c in step(t).items()))
 
     def reflected(self, signature: Signature) -> "SpaceElement":
         """Composition with the reflection of negative-signature coordinates."""
@@ -295,7 +294,7 @@ class SpaceElement:
             poly = {(0,) * self.dim: coeff}
             for i, k in enumerate(t.poly):
                 for _ in range(k):
-                    poly = _poly_mul_linear(poly, M[i], w[i])
+                    poly = mul_linear(poly, M[i], w[i])
             for mono, c in poly.items():
                 if c != 0:
                     terms.append(GaussianTerm(c, quad, lin, mono))
@@ -373,25 +372,6 @@ class SpaceElement:
         return cls(dim, gaussians, deltas)
 
 
-def _poly_mul_linear(poly: dict, row: np.ndarray, shift: float) -> dict:
-    """Multiply a monomial dict by the linear form (row . u + shift)."""
-    out: dict = {}
-
-    def add(g, c):
-        if c != 0:
-            out[g] = out.get(g, 0.0) + c
-
-    for g, c in poly.items():
-        if shift != 0:
-            add(g, c * shift)
-        for j, rj in enumerate(row):
-            if rj != 0:
-                upper = list(g)
-                upper[j] += 1
-                add(tuple(upper), c * rj)
-    return out
-
-
 def _transform_jet(orders: tuple[int, ...], M: np.ndarray) -> dict:
     """Rewrite d^orders in source coordinates as jets in image coordinates.
 
@@ -399,17 +379,8 @@ def _transform_jet(orders: tuple[int, ...], M: np.ndarray) -> dict:
     multi-index derivative expands into a combination of image derivatives of
     the same total order.
     """
-    p = len(orders)
-    result = {(0,) * p: 1.0}
+    result = {(0,) * len(orders): 1.0}
     for i, k in enumerate(orders):
         for _ in range(k):
-            new: dict = {}
-            for g, c in result.items():
-                for r in range(p):
-                    if M[r, i] != 0:
-                        upper = list(g)
-                        upper[r] += 1
-                        key = tuple(upper)
-                        new[key] = new.get(key, 0.0) + c * M[r, i]
-            result = new
+            result = mul_linear(result, M[:, i])
     return result

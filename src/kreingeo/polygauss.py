@@ -23,8 +23,10 @@ at a point is a moment too, with the covariance negated:
 
 Moments are built bottom-up one total degree at a time, with no recursion,
 and stop with IntegralOverflowError soon after a degree leaves the float
-range.  PolyGaussian keeps the term-by-term calculus for the L2 inner
-product and the time factors of the slice dynamics.
+range.  mul_linear, a sparse polynomial {multi-index: coeff} times a linear
+form row.z + shift, is the one step behind derivatives, coordinate factors,
+affine substitutions and the chain rule of delta jets.  PolyGaussian keeps
+the term-by-term calculus for the L2 inner product and the tests' oracle.
 """
 
 import functools
@@ -241,6 +243,30 @@ def stacked_moments(gammas: list[tuple[int, ...]], ids: np.ndarray, mu: np.ndarr
     return out
 
 
+def mul_linear(poly: dict, row, shift=0.0, axis=None) -> dict:
+    """The sparse polynomial ``poly`` = {multi-index: coeff} times row.z + shift.
+
+    With ``axis``, each monomial's derivative along it is added first, so
+    mul_linear(poly, -P[a], q[a], a) is the polynomial of d/dz_a of
+    poly * exp(-1/2 z^T P z + q.z).  Zero entries of ``row`` and a zero
+    ``shift`` add no terms.
+    """
+    out: dict = {}
+
+    def add(g, c):
+        out[g] = out[g] + c if g in out else c
+
+    for g, c in poly.items():
+        if axis is not None and g[axis]:
+            add(g[:axis] + (g[axis] - 1,) + g[axis + 1:], c * g[axis])
+        if shift != 0:
+            add(g, c * shift)
+        for j, rj in enumerate(row):
+            if rj != 0:
+                add(g[:j] + (g[j] + 1,) + g[j + 1:], c * rj)
+    return out
+
+
 class PolyGaussian:
     """A polynomial multiplied by a complex Gaussian exponential."""
 
@@ -268,26 +294,8 @@ class PolyGaussian:
 
     def differentiate(self, axis: int) -> "PolyGaussian":
         """Partial derivative with respect to coordinate ``axis``."""
-        new: dict = {}
-
-        def add(g, c):
-            if c != 0:
-                new[g] = new.get(g, 0.0) + c
-
-        row = self.quad[axis]
-        qa = self.lin[axis]
-        for g, c in self.poly.items():
-            if g[axis] > 0:
-                lower = list(g)
-                lower[axis] -= 1
-                add(tuple(lower), c * g[axis])
-            add(g, c * qa)
-            for j, pij in enumerate(row):
-                if pij != 0:
-                    upper = list(g)
-                    upper[j] += 1
-                    add(tuple(upper), -c * pij)
-        return PolyGaussian(new, self.quad, self.lin, self.const)
+        poly = mul_linear(self.poly, -self.quad[axis], self.lin[axis], axis)
+        return PolyGaussian(poly, self.quad, self.lin, self.const)
 
     def substitute(self, fixed: dict[int, complex]) -> "PolyGaussian":
         """Pin a subset of coordinates to values; returns the restriction."""

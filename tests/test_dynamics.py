@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kreingeo.algebra import inner_product, l2_inner_product, norm_squared
-from kreingeo.dynamics import (HamiltonianSpec, PerturbedPath, TimeSlicedElement,
-                               coherent_state, free_packet, galileo_on_slice,
+from kreingeo.dynamics import (MAX_TIME_JET_ORDER, HamiltonianSpec, PerturbedPath,
+                               TimeSlicedElement, coherent_state, free_packet, galileo_on_slice,
                                orthogonality_check, path_derivative, path_velocity,
                                pde_residual_fd, schrodinger_residual,
                                slice_inner_product, slice_norm_squared, spatial_spec,
@@ -27,7 +27,34 @@ def test_time_factor_tables():
         assert time_factor_derivative(kind, 1, 0, 0.7) == 0.0
     assert time_factor_derivative("H_eta", 1, 1, 0.7) == -1.0
     assert time_factor_derivative("H_tilde", 1, 1, 0.7) == 1.0
-    assert time_factor_derivative("H_T", 1, 1, 0.7) == pytest.approx(1.0, abs=1e-12)
+    assert time_factor_derivative("H_T", 1, 1, 0.7) == 1.0
+
+
+@pytest.mark.parametrize("kind", METRICS)
+def test_time_factor_closed_form_matches_symbolic_derivatives(kind):
+    import sympy
+
+    t, s, tau = sympy.symbols("t s tau", real=True)
+    factor = {"H_eta": sympy.exp((t - s) ** 2 / 2),
+              "H_tilde": sympy.exp(-(t - s) ** 2 / 2),
+              "H_T": sympy.exp((t + s - 2 * tau) ** 2 / 2)}[kind]
+    for m1 in range(MAX_TIME_JET_ORDER + 1):
+        for m2 in range(MAX_TIME_JET_ORDER + 1):
+            derivative = sympy.diff(factor, t, m1, s, m2)
+            for slice_time in ("0", "0.7", "-1.3", "2.5"):
+                at = sympy.Rational(slice_time)
+                want = derivative.subs({t: at, s: at, tau: at})
+                assert want.is_Integer
+                got = time_factor_derivative(kind, m1, m2, float(at))
+                assert got == int(want), (kind, m1, m2, slice_time)
+
+
+def test_unknown_slice_metric_is_rejected():
+    s = TimeSlicedElement.order_zero(SpaceElement.gaussian([[1.0]]), 0.3)
+    with pytest.raises(ValueError, match="unknown slice metric"):
+        time_factor_derivative("H_bogus", 0, 0, 0.3)
+    with pytest.raises(ValueError, match="unknown slice metric"):
+        slice_inner_product(s, s, "H_bogus")
 
 
 def test_slice_pairing_matches_full_spacetime_algebra():

@@ -1,5 +1,11 @@
+import cmath
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreingeo.elements import DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.kernels import Signature
@@ -46,6 +52,17 @@ def test_conjugated_term_is_not_revalidated(monkeypatch):
     c = t.conjugated()
     assert c.coeff == 1.0 - 2.0j and c.poly == (2,)
     assert np.array_equal(c.quad, [[1.5 - 0.5j]]) and np.array_equal(c.lin, [0.3 + 0.1j])
+
+
+@pytest.mark.parametrize("derive", [
+    lambda e: e.derivative(1), lambda e: e.mul_coord(0), lambda e: e * (2.0 - 1.0j),
+    lambda e: e.reflected(Signature(1, 1)),
+], ids=["derivative", "mul_coord", "scaled", "reflected"])
+def test_derived_terms_are_not_revalidated(monkeypatch, derive):
+    e = SpaceElement.gaussian([[1.5 + 0.5j, 0.2], [0.2, 1.0]], lin=[0.3, -0.1j], poly=(1, 2))
+    monkeypatch.setattr(GaussianTerm, "__post_init__",
+                        lambda self: pytest.fail("a derived term was re-validated"))
+    assert derive(e).gaussians
 
 
 def test_delta_jet_order_cap():
@@ -150,3 +167,100 @@ def test_jet_order_two_pushforward_under_rotation():
 def test_serialization_zero_element():
     z = SpaceElement.zero(3)
     assert SpaceElement.from_dict(z.to_dict()).is_zero
+
+
+@st.composite
+def coupled_elements(draw):
+    """Gaussian mixtures in dims 1-3 on coupled complex forms, monomial degree <= 2 per axis.
+
+    Diagonals have real part >= 0.8 and off-diagonal entries stay within
+    0.2 (1 + i), so every real part is diagonally dominant.  Returns the
+    element, an axis and three sample points.
+    """
+    dim = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        quad = np.diag([complex(draw(st.floats(0.8, 2.0)), draw(st.floats(-0.5, 0.5)))
+                        for _ in range(dim)])
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                quad[i, j] = quad[j, i] = complex(draw(st.floats(-0.2, 0.2)),
+                                                  draw(st.floats(-0.2, 0.2)))
+        lin = [complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))) for _ in range(dim)]
+        poly = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        # Magnitudes from 0.1 up: a subnormal coefficient loses relative precision.
+        coeff = draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        terms.append(GaussianTerm(coeff, quad, lin, poly))
+    # Off the coordinate planes, where a monomial's value and slope vanish but
+    # not the higher derivatives that set the finite-difference error.
+    points = np.array([[draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.2, 1.5))
+                        for _ in range(dim)] for _ in range(3)])
+    return SpaceElement(dim, tuple(terms)), draw(st.integers(0, dim - 1)), points
+
+
+def _magnitude(e: SpaceElement, points: np.ndarray) -> np.ndarray:
+    """Sum of the term magnitudes at each point, the scale of its rounding error."""
+    return sum(np.abs(SpaceElement(e.dim, (t,)).evaluate(points)) for t in e.gaussians)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled_elements())
+def test_derivative_and_mul_coord_match_pointwise_values(case):
+    e, axis, points = case
+    h = 1e-3
+    step = h * np.eye(e.dim)[axis]
+    # Fourth-order central difference; its truncation error is about h^4 f^(5) / 30.
+    fd = (8.0 * (e.evaluate(points + step) - e.evaluate(points - step))
+          - (e.evaluate(points + 2 * step) - e.evaluate(points - 2 * step))) / (12.0 * h)
+    derivative = e.derivative(axis)
+    scale = (max(_magnitude(e, points + s * step).max() for s in (-2, -1, 0, 1, 2))
+             + _magnitude(derivative, points).max())
+    assert np.abs(derivative.evaluate(points) - fd).max() <= 1e-9 * scale
+    product = points[:, axis] * e.evaluate(points)
+    assert np.abs(e.mul_coord(axis).evaluate(points) - product).max() \
+        <= 1e-14 * _magnitude(e, points).max()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_derivative_with_overflowing_coefficient_is_rejected():
+    e = SpaceElement.gaussian([[1.0]], lin=[1e10], coeff=1e300)
+    with pytest.raises(ValueError, match="finite"):
+        e.derivative(0)
+
+
+def _fd_partial(f, x: np.ndarray, orders: tuple[int, ...], h: float = 2e-3) -> complex:
+    """d^orders f at x by tensor-product central differences, Richardson-extrapolated."""
+    def central(h):
+        stencils = {0: {0: 1.0}, 1: {1: 0.5 / h, -1: -0.5 / h},
+                    2: {1: h ** -2, 0: -2.0 * h ** -2, -1: h ** -2}}
+        total = 0.0
+        for offsets in itertools.product(*(stencils[k].items() for k in orders)):
+            shift = np.array([o for o, _ in offsets], dtype=float) * h
+            total += math.prod(w for _, w in offsets) * f((x + shift)[None, :])[0]
+        return total
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+PUSHFORWARD_MAPS = {
+    2: np.array([[1.3, 0.4], [-0.2, 0.9]]),
+    3: np.array([[1.1, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.3, 0.2, 1.2]]),
+}
+JET_CASES = [(dim, orders) for dim in (2, 3)
+             for orders in itertools.product(range(3), repeat=dim) if 1 <= sum(orders) <= 2]
+
+
+@pytest.mark.parametrize("dim, orders", JET_CASES, ids=[f"{d}d-{o}" for d, o in JET_CASES])
+def test_jet_pushforward_coefficients_follow_the_chain_rule(dim, orders):
+    # sum_beta c_beta d^beta phi(g a) = d^alpha (phi o g)(a) for g(x) = M x + w,
+    # where |det M| c_beta are the coefficients of the pushed-forward jet.
+    M = PUSHFORWARD_MAPS[dim]
+    w = np.linspace(-0.3, 0.4, dim)
+    a = np.linspace(0.2, -0.5, dim)
+    quad = 1.2 * np.eye(dim) + 0.2 * (np.ones((dim, dim)) - np.eye(dim))
+    phi = SpaceElement.gaussian(quad, lin=np.linspace(0.3, -0.4, dim))
+    out = SpaceElement.delta(a, orders=orders).pushforward_affine(M, w)
+    det = abs(np.linalg.det(M))
+    pushed = sum(t.coeff / det * _fd_partial(phi.evaluate, t.base, t.orders) for t in out.deltas)
+    direct = _fd_partial(lambda x: phi.evaluate(x @ M.T + w), a, orders)
+    assert all(np.allclose(t.base, M @ a + w) and t.order == sum(orders) for t in out.deltas)
+    assert abs(pushed - direct) <= 1e-8 * abs(direct)
