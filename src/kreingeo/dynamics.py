@@ -93,13 +93,17 @@ def _check_same_slice(s1: TimeSlicedElement, s2: TimeSlicedElement):
             "the elements belong to different subspaces")
 
 
+def _check_metric(kind: str):
+    if kind not in SLICE_METRICS:
+        raise ValueError(f"unknown slice metric {kind!r}; choose from {SLICE_METRICS}")
+
+
 def time_factor_derivative(kind: str, m1: int, m2: int, tau: float) -> float:
     """d^m1/dt d^m2/ds of the time factor at coincidence t = s = tau.
 
     The closed form of the module docstring; it does not depend on ``tau``.
     """
-    if kind not in SLICE_METRICS:
-        raise ValueError(f"unknown slice metric {kind!r}; choose from {SLICE_METRICS}")
+    _check_metric(kind)
     n = m1 + m2
     if n % 2:
         return 0.0
@@ -115,12 +119,12 @@ def slice_inner_product(s1: TimeSlicedElement, s2: TimeSlicedElement,
     at the slice time, since each time factor equals one at coincidence.
     """
     _check_same_slice(s1, s2)
+    _check_metric(metric)  # also when a slice has no jets, so nothing is paired
     spec = spatial_spec(s1.space_dim)
-    tau = s1.slice_time
     total = 0.0 + 0.0j
     for psi1, m1 in s1.jets:
         for psi2, m2 in s2.jets:
-            kappa = time_factor_derivative(metric, m1, m2, tau)
+            kappa = time_factor_derivative(metric, m1, m2, s1.slice_time)
             if kappa != 0.0:
                 total += (-1.0) ** (m1 + m2) * kappa * inner_product(psi1, psi2, spec)
     return total

@@ -287,17 +287,14 @@ class SpaceElement:
             raise ValueError("affine map shape mismatch")
         terms = []
         for t in self.gaussians:
-            quad = M.T @ t.quad @ M
-            lin = M.T @ (t.lin - t.quad @ w)
             coeff = t.coeff * np.exp(-0.5 * (w @ t.quad @ w) + t.lin @ w)
+            form = GaussianTerm(coeff, M.T @ t.quad @ M, M.T @ (t.lin - t.quad @ w))
             # Expand the monomial prod_i (row_i.u + w_i)^k_i into monomials in u.
-            poly = {(0,) * self.dim: coeff}
+            poly = {form.poly: coeff}
             for i, k in enumerate(t.poly):
                 for _ in range(k):
                     poly = mul_linear(poly, M[i], w[i])
-            for mono, c in poly.items():
-                if c != 0:
-                    terms.append(GaussianTerm(c, quad, lin, mono))
+            terms.extend(form._sibling(c, mono) for mono, c in poly.items() if c != 0)
         return SpaceElement(self.dim, tuple(terms))
 
     def pushforward_affine(self, matrix, offset) -> "SpaceElement":

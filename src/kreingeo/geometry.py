@@ -14,7 +14,7 @@ import numpy as np
 
 from .elements import SpaceElement
 from .errors import DegenerateImmersionError
-from .kernels import GAUSSIAN, KernelSpec, Signature, kernel_eval
+from .kernels import GAUSSIAN, KernelSpec, Signature, cross_kernel, gram_matrix, kernel_eval
 
 JACOBIAN_FD_STEP = 1e-6
 METRIC_FD_STEP = 1e-4
@@ -44,8 +44,8 @@ class EmbeddingMap:
         if u.shape != (self.domain_dim,):
             raise ValueError(f"point dimension {u.shape} does not match domain dimension {self.domain_dim}")
         x = np.atleast_1d(np.asarray(self.func(u), dtype=float))
-        if x.shape != (self.ambient_dim,):
-            raise ValueError("embedding map returned a vector of the wrong dimension")
+        if x.shape != (self.ambient_dim,) or not np.isfinite(x).all():
+            raise ValueError(f"embedding map must return a finite vector of dimension {self.ambient_dim}")
         return x
 
     def jacobian_at(self, u) -> np.ndarray:
@@ -144,7 +144,9 @@ def induced_metric(pk: PulledBackKernel, u, step: float = METRIC_FD_STEP,
 
     g_{mu nu}(u) = d^2 k_pb(u, v) / du^mu dv^nu at v = u, computed with
     4-point central differences (second order in ``step``); the optional
-    Richardson pass eliminates the leading error term.
+    Richardson pass eliminates the leading error term.  A step h embeds the 2n
+    points u +- h e_k once; with K their kernel matrix, g is the exactly
+    symmetric ((K++ + K--) - (K+- + K-+)) / (4 h^2).
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     n = pk.embedding.domain_dim
@@ -154,15 +156,10 @@ def induced_metric(pk: PulledBackKernel, u, step: float = METRIC_FD_STEP,
         raise ValueError("point must be interior to the domain with margin 2*step")
 
     def mixed(h: float) -> np.ndarray:
-        g = np.empty((n, n))
-        basis = np.eye(n)
-        for mu in range(n):
-            for nu in range(mu, n):
-                du, dv = h * basis[mu], h * basis[nu]
-                val = (pk(u + du, u + dv) - pk(u + du, u - dv)
-                       - pk(u - du, u + dv) + pk(u - du, u - dv)) / (4.0 * h * h)
-                g[mu, nu] = g[nu, mu] = val
-        return g
+        stencil = np.concatenate([u + h * np.eye(n), u - h * np.eye(n)])
+        xs = np.array([pk.embedding(v) for v in stencil]).T
+        K = cross_kernel(xs, xs, pk.spec)
+        return ((K[:n, :n] + K[n:, n:]) - (K[:n, n:] + K[n:, :n])) / (4.0 * h * h)
 
     g = (4.0 * mixed(step / 2.0) - mixed(step)) / 3.0 if richardson else mixed(step)
     _rank_check(g, "induced metric")
@@ -186,10 +183,8 @@ def chordal_distance(a, b, spec: KernelSpec) -> float:
     """Norm distance ||delta_a - delta_b|| in a positive-definite kernel space."""
     if not spec.is_positive_definite():
         raise ValueError("chordal distance requires a positive-definite kernel")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    sq = kernel_eval(spec, a, a) + kernel_eval(spec, b, b) - 2.0 * kernel_eval(spec, a, b)
-    return float(np.sqrt(max(sq, 0.0)))
+    k = gram_matrix([a, b], spec)
+    return float(np.sqrt(max(k[0, 0] + k[1, 1] - 2.0 * k[0, 1], 0.0)))
 
 
 def _single_delta_base(e: SpaceElement, what: str) -> tuple[complex, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Kernel families and their pointwise evaluation.
+"""Kernel families and their evaluation on point sets.
 
 Two kernel families are supported:
 
@@ -9,9 +9,9 @@ Two kernel families are supported:
   sum_{|n|<=N} e^{i n (x-y)} / (2 pi (1+n^2)) of the first-order Sobolev
   space of 2pi-periodic functions on the line.
 
-Gram matrices are built without (N, N, d) or (N, N, T) arrays; see ``gram_matrix``.
-The Gaussian one is built in blocks of ``GRAM_BLOCK_ROWS`` rows over its upper
-triangle, each mirrored into the lower one: O(N^2) output, O(block * N) scratch.
+``cross_kernel`` is the one place each formula is written.  ``kernel_eval`` is its
+1x1 case and ``gram_matrix`` its blocked upper triangle, mirrored into the lower one:
+no (N, N, d) or (N, N, T) array, and O(GRAM_BLOCK_ROWS * N) scratch.
 """
 
 import math
@@ -116,24 +116,24 @@ def sobolev_coth_reference() -> float:
     return math.cosh(math.pi) / math.sinh(math.pi) / 2.0
 
 
-def _check_point(spec: KernelSpec, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec.dim,):
-        raise ValueError(f"point of dimension {x.shape} does not match kernel dimension {spec.dim}")
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError(f"point {x.tolist()} is not finite")
-    return x
+def _columns(points, spec: KernelSpec) -> np.ndarray:
+    """A nonempty list of finite points of the kernel's dimension as (d, N) coordinate rows."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("need a nonempty list of points")
+    if pts.shape[1] != spec.dim:
+        raise ValueError(f"points of dimension {pts.shape[1]} do not match kernel dimension {spec.dim}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return np.ascontiguousarray(pts.T)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Kernel value k(x, y); symmetric, and 1 at zero separation (unnormalized)."""
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    if spec.family == PERIODIC_SOBOLEV:
-        return sobolev_kernel_value(float(x[0] - y[0]), spec.truncation)
-    d = x - y
-    exponent = -0.5 * spec.scale ** 2 * float(spec.signature.signs() @ (d * d))
-    return spec.prefactor() * math.exp(exponent)
+    xs, ys = (_columns(np.reshape(p, (1, -1)), spec) for p in (x, y))
+    return float(cross_kernel(xs, ys, spec)[0, 0])
 
 
 def signed_square_distances(xs, ys, signs, out=None) -> np.ndarray:
@@ -159,42 +159,45 @@ def signed_square_distances(xs, ys, signs, out=None) -> np.ndarray:
     return sq
 
 
+def cross_kernel(xs, ys, spec: KernelSpec, out=None) -> np.ndarray:
+    """(m, n) matrix of k(x_i, y_j) for points given axis by axis, shapes (d, m) and (d, n).
+
+    Gaussian: ``signed_square_distances``, times -s^2/2, exp and the prefactor, in place in
+    ``out``; exactly the transpose of the (ys, xs) matrix.  Sobolev: cos(n(x-y)) splits into
+    features, so the series is (C_x/w) C_y^T + (S_x/w) S_y^T with w_n = 1+n^2.  With ``ys is
+    xs`` the features are built once and the series added to its transpose: exactly symmetric.
+    """
+    if spec.family == PERIODIC_SOBOLEV:
+        n = np.arange(1, spec.truncation + 1)
+        cx, sx, w = np.cos(xs[0][:, None] * n), np.sin(xs[0][:, None] * n), 1.0 + n * n
+        cy, sy = (cx, sx) if ys is xs else (np.cos(ys[0][:, None] * n), np.sin(ys[0][:, None] * n))
+        series = (cx / w) @ cy.T + (sx / w) @ sy.T
+        out = np.add(series, series.T if ys is xs else series, out)
+        return np.divide(np.add(1.0, out, out), 2.0 * math.pi, out)
+    out = signed_square_distances(xs, ys, spec.signature.signs(), out)
+    np.exp(np.multiply(out, -0.5 * spec.scale ** 2, out), out)
+    if spec.normalized:  # the prefactor is 1 otherwise, and times 1.0 is exact
+        np.multiply(out, spec.prefactor(), out)
+    return out
+
+
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel matrix of a list of finite points, exactly symmetric.
 
-    Sobolev: cos(n(x-y)) = cos(nx)cos(ny) + sin(nx)sin(ny), so the series is (C/w) C^T + (S/w) S^T
-    with (N, T) feature matrices C, S and w_n = 1+n^2: O(N*T + N^2) memory.  Gaussian: blocks of
-    ``GRAM_BLOCK_ROWS`` rows over columns i0..N, each built in one reused (block, N) scratch from
-    per-axis coordinate rows (``signed_square_distances``, then times -s^2/2, exp and the
-    prefactor) and mirrored into the rows below it: O(N^2) output, O(block * N) scratch, and
-    every entry bit for bit the whole-matrix formula.
+    Sobolev: the ``cross_kernel`` of the points with themselves.  Gaussian: ``cross_kernel``
+    blocks of ``GRAM_BLOCK_ROWS`` rows over columns i0..N in one reused scratch, each
+    mirrored into the rows below it: every entry bit for bit the whole-matrix formula.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("need a nonempty list of points")
-    if pts.shape[1] != spec.dim:
-        raise ValueError(f"points of dimension {pts.shape[1]} do not match kernel dimension {spec.dim}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    cols = _columns(points, spec)
     if spec.family == PERIODIC_SOBOLEV:
-        n = np.arange(1, spec.truncation + 1)
-        cos, sin, w = np.cos(pts * n), np.sin(pts * n), 1.0 + n * n
-        series = (cos / w) @ cos.T + (sin / w) @ sin.T
-        return (1.0 + (series + series.T)) / (2.0 * math.pi)  # 2 * series, exactly symmetric
-    n = len(pts)
-    cols = np.ascontiguousarray(pts.T)
-    signs, factor, prefactor = spec.signature.signs(), -0.5 * spec.scale ** 2, spec.prefactor()
+        return cross_kernel(cols, cols, spec)
+    n = cols.shape[1]
     gram = np.empty((n, n))
     scratch = np.empty(min(GRAM_BLOCK_ROWS, n) * n)
     for i0 in range(0, n, GRAM_BLOCK_ROWS):
         i1 = min(i0 + GRAM_BLOCK_ROWS, n)
         block = scratch[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
-        signed_square_distances(cols[:, i0:i1], cols[:, i0:], signs, out=block)
-        np.exp(np.multiply(block, factor, block), block)
-        if prefactor != 1.0:  # times 1.0 is exact
-            np.multiply(block, prefactor, block)
+        cross_kernel(cols[:, i0:i1], cols[:, i0:], spec, out=block)
         gram[i0:i1, i0:] = block
         gram[i1:, i0:i1] = block[:, i1 - i0:].T
     return gram

@@ -57,6 +57,13 @@ def test_unknown_slice_metric_is_rejected():
         slice_inner_product(s, s, "H_bogus")
 
 
+def test_unknown_slice_metric_is_rejected_without_jets():
+    empty = TimeSlicedElement(0.3, (), 1)
+    with pytest.raises(ValueError, match="unknown slice metric"):
+        slice_inner_product(empty, empty, "bogus")
+    assert slice_inner_product(empty, empty, "H_T") == 0.0
+
+
 def test_slice_pairing_matches_full_spacetime_algebra():
     # Pure delta jets exist in both pictures: a spatial delta jet on a slice
     # equals a 4-dimensional delta jet, and the pairings must agree.

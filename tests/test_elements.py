@@ -142,6 +142,26 @@ def test_compose_affine_substitution_semantics():
     assert np.allclose(composed.evaluate(xs), e.evaluate(2.0 * xs + 0.5), atol=1e-13)
 
 
+def test_compose_affine_validates_each_transformed_form_once(monkeypatch):
+    e = (SpaceElement.gaussian(1.2 * np.eye(3), poly=(2, 2, 2))
+         + SpaceElement.gaussian([[1.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 0.9]],
+                                 lin=[0.2, -0.1j, 0.4], coeff=0.5 - 1j, poly=(1, 0, 2)))
+    M = np.array([[1.0, 0.4, -0.2], [0.1, 0.9, 0.3], [-0.5, 0.2, 1.2]])
+    w = np.array([0.3, -0.2, 0.1])
+    validate = GaussianTerm.__post_init__
+    calls = []
+    monkeypatch.setattr(GaussianTerm, "__post_init__", lambda t: calls.append(1) or validate(t))
+    composed = e.compose_affine(M, w)
+    assert len(calls) == len(e.gaussians) < len(composed.gaussians)
+    monkeypatch.undo()
+    # Each term is what a full validation of its form and monomial would give.
+    rebuilt = SpaceElement(3, tuple(GaussianTerm(t.coeff, t.quad, t.lin, t.poly)
+                                    for t in composed.gaussians))
+    us = np.random.default_rng(4).normal(size=(20, 3))
+    assert np.array_equal(composed.evaluate(us), rebuilt.evaluate(us))
+    assert np.allclose(composed.evaluate(us), e.evaluate(us @ M.T + w), rtol=1e-12, atol=0)
+
+
 def test_pushforward_composes_with_map():
     # (f o g^{-1})(g(x)) = f(x) for the affine map g(x) = M x + w.
     e = SpaceElement.gaussian([[1.1]], lin=[0.3], poly=(2,))

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from kreingeo import geometry
 from kreingeo.algebra import inner_product, norm_squared
+from kreingeo.catalog import builtin
 from kreingeo.errors import DegenerateImmersionError
 from kreingeo.geometry import (EmbeddingMap, MetricTensor, PulledBackKernel,
                                analytic_pullback_metric, chordal_distance,
@@ -87,6 +90,44 @@ def test_richardson_flag_improves_accuracy():
     assert better < plain / 100
 
 
+@pytest.mark.parametrize("richardson, steps", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("name", ["sphere2", "minkowski31"])
+def test_induced_metric_embeds_each_stencil_point_once(name, richardson, steps):
+    entry = builtin(name)
+    calls = []
+    counted = dataclasses.replace(entry.embedding,
+                                  func=lambda u: calls.append(1) or entry.embedding.func(u))
+    n = counted.domain_dim
+    u = np.array([0.5 * (lo + hi) for lo, hi in counted.domain])
+    induced_metric(PulledBackKernel(counted, entry.spec), u, richardson=richardson)
+    assert len(calls) == 2 * n * steps
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("name", ["sphere2", "minkowski31"])
+def test_induced_metric_is_exactly_symmetric(monkeypatch, name, richardson):
+    # MetricTensor symmetrizes what it is given, so look at the components before it does.
+    entry = builtin(name)
+    seen = []
+    monkeypatch.setattr(geometry, "_rank_check", lambda g, where: seen.append(g))
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        u = np.array([rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in entry.embedding.domain])
+        induced_metric(PulledBackKernel(entry.embedding, entry.spec), u, richardson=richardson)
+    assert len(seen) == 5
+    assert all(np.array_equal(g, g.T) for g in seen)
+
+
+def test_non_finite_embedding_values_are_rejected():
+    emb = EmbeddingMap(1, 1, Signature(1, 0), func=lambda u: np.where(u < 0.5, np.inf, u),
+                       domain=((0.0, 1.0),))
+    assert emb([0.7])[0] == 0.7
+    with pytest.raises(ValueError, match="finite vector"):
+        emb([0.2])
+    with pytest.raises(ValueError, match="finite vector"):
+        induced_metric(PulledBackKernel(emb, KernelSpec.gaussian(1, 0)), [0.5])
+
+
 def test_margin_validation():
     pk = PulledBackKernel(sphere_embedding(), KernelSpec.gaussian(3, 0))
     with pytest.raises(ValueError):
@@ -157,6 +198,19 @@ def test_chordal_distance_half_turn():
 def test_chordal_rejects_indefinite():
     with pytest.raises(ValueError):
         chordal_distance([0, 0, 0, 0], [1, 0, 0, 0], KernelSpec.gaussian(3, 1))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(2, 0), KernelSpec.periodic_sobolev(50)],
+                         ids=["gaussian", "sobolev"])
+def test_chordal_distance_rejects_bad_points(spec):
+    good = np.zeros(spec.dim)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            chordal_distance(good, np.full(spec.dim, bad), spec)
+    with pytest.raises(ValueError, match="dimension"):
+        chordal_distance(np.zeros(3), np.zeros(3), spec)
+    with pytest.raises(ValueError):
+        chordal_distance(good, np.zeros(spec.dim + 1), spec)
 
 
 def test_chordal_symmetry_and_triangle():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kreingeo.groups import DeltaSpanOperator
-from kreingeo.kernels import (GRAM_BLOCK_ROWS, KernelSpec, Signature, gram_matrix, kernel_eval,
-                              sobolev_coth_reference, sobolev_kernel_value)
+from kreingeo.kernels import (GRAM_BLOCK_ROWS, KernelSpec, Signature, cross_kernel, gram_matrix,
+                              kernel_eval, sobolev_coth_reference, sobolev_kernel_value)
 
 COTH_PI_HALF = 0.5018709365986606  # cosh(pi)/sinh(pi)/2
 K2000_AT_ZERO = 0.5017118214509261  # truncated sum, N = 2000
@@ -203,6 +203,37 @@ def test_blocked_gaussian_gram_equals_the_broadcast_formula(pos, neg, scale, nor
     gram = gram_matrix(pts, spec)
     assert np.array_equal(gram, broadcast)
     assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("pos, neg, scale, normalized", [
+    (1, 0, 2.5, False), (1, 0, 2.5, True), (3, 1, 2.5, False), (0, 1, 2.5, False)])
+def test_cross_kernel_transposes_exactly(pos, neg, scale, normalized):
+    spec = KernelSpec.gaussian(pos, neg, scale=scale, normalized=normalized)
+    rng = np.random.default_rng(15)
+    xs, ys = rng.normal(size=(pos + neg, 37)), rng.normal(size=(pos + neg, 23))
+    kxy = cross_kernel(xs, ys, spec)
+    assert kxy.shape == (37, 23)
+    assert np.array_equal(kxy, cross_kernel(ys, xs, spec).T)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(3, 1, scale=1.7),
+                                  KernelSpec.gaussian(2, 0, scale=0.8, normalized=True),
+                                  KernelSpec.periodic_sobolev(2000)],
+                         ids=["gaussian31", "gaussian20-normalized", "sobolev"])
+def test_cross_kernel_of_the_point_set_is_its_gram_matrix(spec):
+    # 150 points span three row blocks of the Gaussian Gram build.
+    pts = np.random.default_rng(16).uniform(-6.0, 6.0, size=(150, spec.dim))
+    cols = np.ascontiguousarray(pts.T)
+    assert np.array_equal(cross_kernel(cols, cols, spec), gram_matrix(pts, spec))
+
+
+@pytest.mark.parametrize("truncation", [1, 50, 2000])
+def test_sobolev_cross_kernel_matches_the_series(truncation):
+    spec = KernelSpec.periodic_sobolev(truncation)
+    rng = np.random.default_rng(17)
+    xs, ys = rng.uniform(-10.0, 10.0, size=(1, 30)), rng.uniform(-10.0, 10.0, size=(1, 20))
+    want = [[sobolev_kernel_value(x - y, truncation) for y in ys[0]] for x in xs[0]]
+    assert np.max(np.abs(cross_kernel(xs, ys, spec) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", BLOCK_SIZES)
