@@ -4,40 +4,41 @@ The sesquilinear form is
 
     (f, g) = prefactor * int int k(x, y) f(x) conj(g(y)) dx dy,
 
-evaluated over all term pairs at once.  Each pair kind of one inner product
-is stacked and integrated as one batch, in chunks of PAIR_CHUNK pairs, by
-the Gaussian moment engine of polygauss, with the moments of a chunk taken
-in one pass over its exponent patterns where that pass stays small:
+with k = exp(-1/2 z^T K z) on z = (x, y) and K = [[S, -S], [-S, S]].  A
+Gaussian term's variable is integrated.  A delta jet c d^alpha delta_beta
+pins its variable at beta and, by parts, differentiates the kernel there
+with the sign (-1)^|alpha|.  With I the integrated and J the pinned
+variables, Q = K + diag(A1 or 0, conj A2 or 0) and l = (b1 or 0, conj b2 or
+0), every pair is one Schur complement step,
 
-* Gaussian x Gaussian pairs are 2p-dimensional complex Gaussian integrals
-  of the monomials poly1 + poly2.
-* Gaussian x jet pairs (g, d^alpha delta_beta): integration by parts moves
-  the jet onto the kernel, with a sign (-1)^|alpha|.  The x-integral at
-  y = beta has the p x p form Q = A + S and linear part l = b + S beta, and
-  the y-derivatives become a moment with negated covariance: one moment of
-  the 2p variables (x, y) with mean [m; S(m - beta)] and covariance
-  [[W, WS], [SW, SWS - S]], where W = Q^-1 and m = W l.
-* Jet x jet pairs are kernel derivatives at (beta1, beta2): the moment with
-  mean -K z0 and covariance -K, for the kernel's form K on (x, y).
+    base, m, W = gaussian_factors(Q_II, l_I - K_IJ z_J, -1/2 z_J^T K_JJ z_J),
 
-A delta on the left follows from one on the right by conjugate symmetry,
-(d, g) = conj((g, d)), as the kernel is real and symmetric.  A pair integral
-whose combined quadratic form has a real part with a non-positive eigenvalue
-raises DivergentNormError: the element lies outside the space.  The pairs
-are checked in the order Gaussian pairs, Gaussian x jet row by row, then
-jet x Gaussian, so the first divergent pair a term-by-term sum would meet
-is the one reported.
+times the moment of the joined monomials and jet orders under the mean
+(m, -(K_JI m + K_JJ z_J)) and covariance
+[[W, -W K_IJ], [-K_JI W, K_JI W K_IJ - K_JJ]].  With J empty this is a
+Gaussian integral, and with I empty a kernel derivative.  Gaussian
+variables come first, and K is unchanged when x and y swap, so Gaussian x
+jet pairs of both argument orders share one stack.  An inner product is
+three stacked passes of the moment engine of polygauss, in chunks of
+PAIR_CHUNK pairs: Gaussian pairs, Gaussian x jet pairs, then jet pairs.
+
+A pair whose Q_II has a real part with an eigenvalue <= PD_TOLERANCE raises
+DivergentNormError.  Pairs are checked in the order Gaussian pairs,
+Gaussian x jet row by row, then jet x Gaussian.  That is the first divergent
+pair a term-by-term sum would meet: a Gaussian x jet pair of an earlier row
+diverges only if S + Re(A1) is not positive definite, and that block sits
+inside each Gaussian pair form of the row.
 """
 
 import functools
-import itertools
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import GaussianTerm, SpaceElement
 from .kernels import GAUSSIAN, KernelSpec, Signature
-from .polygauss import (PolyGaussian, gaussian_factors, min_real_eigenvalues, require_convergent,
-                        require_finite, stacked_moments)
+from .polygauss import gaussian_factors, min_real_eigenvalues, require_convergent, require_finite, stacked_moments
 
 IMAG_TOLERANCE = 1e-12
 
@@ -46,13 +47,64 @@ IMAG_TOLERANCE = 1e-12
 PAIR_CHUNK = 1024
 
 
+class _Side(NamedTuple):
+    """Terms as they enter the integrand: conjugated on the right, and a jet's
+    coefficient times (-1)^|alpha|.  Jets have no ``quad``."""
+
+    coeff: np.ndarray
+    quad: np.ndarray | None
+    point: np.ndarray
+    keys: list
+
+
+def _gaussian_side(terms, conj: bool = False) -> _Side | None:
+    if not terms:
+        return None
+    coeff = np.array([t.coeff for t in terms])
+    quad = np.array([t.quad for t in terms])
+    lin = np.array([t.lin for t in terms])
+    if conj:
+        coeff, quad, lin = coeff.conj(), quad.conj(), lin.conj()
+    return _Side(coeff, quad, lin, [t.poly for t in terms])
+
+
+def _jet_side(terms, conj: bool = False) -> _Side | None:
+    if not terms:
+        return None
+    coeff = np.array([t.coeff * (-1.0) ** t.order for t in terms])
+    return _Side(coeff.conj() if conj else coeff, None, np.array([t.base for t in terms]),
+                 [t.orders for t in terms])
+
+
+def _passes(e1: SpaceElement, e2: SpaceElement) -> list:
+    """The three passes of (e1, e2), each its number of Gaussian sides and
+    its (left, right) blocks, Gaussian sides first; empty sides are None."""
+    g1, g2 = _gaussian_side(e1.gaussians), _gaussian_side(e2.gaussians, conj=True)
+    d1, d2 = _jet_side(e1.deltas), _jet_side(e2.deltas, conj=True)
+    return [(2, [(g1, g2)]), (1, [(g1, d2), (g2, d1)]), (0, [(d1, d2)])]
+
+
+def _stacked(blocks: list) -> tuple:
+    """The left and the right sides of the blocks of a pass, each stacked in turn."""
+    if len(blocks) == 1:
+        return blocks[0]
+    stacked = []
+    for sides in zip(*blocks):
+        coeff, quad, point, keys = zip(*sides)
+        stacked.append(_Side(np.concatenate(coeff), None if quad[0] is None else np.concatenate(quad),
+                             np.concatenate(point), [k for side_keys in keys for k in side_keys]))
+    return tuple(stacked)
+
+
 @functools.lru_cache(maxsize=64)
-def _kernel_blocks(spec: KernelSpec) -> np.ndarray:
-    """Quadratic form of k(x, y) on the doubled space (x, y); read-only."""
+def _kernel_blocks(spec: KernelSpec, gaussians: int) -> tuple:
+    """(K_II, -K_IJ, -K_JI, K_JJ) of the kernel's form on (x, y) when the
+    first ``gaussians`` of the two sides are Gaussian; read-only."""
     S = spec.signed_quad()
-    blocks = np.block([[S, -S], [-S, S]]).astype(complex)
-    blocks.flags.writeable = False
-    return blocks
+    K = np.block([[S, -S], [-S, S]]).astype(complex)
+    K.flags.writeable = False
+    n = gaussians * spec.dim
+    return K[:n, :n], -K[:n, n:], -K[n:, :n], K[n:, n:]
 
 
 def _patterns(keys) -> tuple[list, np.ndarray]:
@@ -62,14 +114,13 @@ def _patterns(keys) -> tuple[list, np.ndarray]:
     return list(ids), pid
 
 
-def _pair_layout(left, right, left_keys, right_keys):
-    """Coefficient products c1 conj(c2) of all pairs, flat in row-major order,
-    and the joined exponent patterns of the pairs with their ids."""
-    coeff = (np.array([t.coeff for t in left])[:, None]
-             * np.array([t.coeff for t in right]).conj()[None, :]).reshape(-1)
-    polys1, pid1 = _patterns(left_keys)
-    polys2, pid2 = _patterns(right_keys)
-    patterns = [a + b for a in polys1 for b in polys2]
+def _pair_layout(left: _Side, right: _Side, join=operator.add):
+    """Coefficient products of all pairs, flat in row-major order, and the
+    joined patterns of the pairs with their ids."""
+    coeff = (left.coeff[:, None] * right.coeff[None, :]).reshape(-1)
+    polys1, pid1 = _patterns(left.keys)
+    polys2, pid2 = _patterns(right.keys)
+    patterns = [join(a, b) for a in polys1 for b in polys2]
     return coeff, patterns, (pid1[:, None] * len(polys2) + pid2[None, :]).reshape(-1)
 
 
@@ -82,130 +133,71 @@ def _live_chunks(coeff: np.ndarray, width: int):
         yield keys, *np.divmod(keys, width)
 
 
-def _gauss_pair_stacks(g1, g2, spec: KernelSpec):
-    """The Gaussian pairs (t1, t2) of two term lists, PAIR_CHUNK at a time.
+def _pair_stacks(gaussians: int, blocks: list, sides: tuple, kernel: tuple):
+    """The pairs inside the blocks of a pass, on the grid of their stacked
+    ``sides`` in row-major order, PAIR_CHUNK at a time, without those whose
+    coefficient product is zero.  Each chunk is (keys, coeff, quad, lin, z,
+    (patterns, ids)): flat grid indices, coefficient products, forms Q_II,
+    l_I and z_J (None when empty), and each pair's joined pattern id."""
+    coeff, patterns, pattern_id = _pair_layout(*sides)
+    grid, i, j = coeff.reshape(len(sides[0].coeff), -1), 0, 0
+    for left, right in blocks[:-1]:
+        i, j = i + len(left.coeff), j + len(right.coeff)
+        grid[:i, j:] = grid[i:, :j] = 0.0
+    p = sides[0].point.shape[1]
+    for keys, *rows in _live_chunks(coeff, len(sides[1].coeff)):
+        quad = np.repeat(kernel[0][None], keys.size, axis=0)
+        for k in range(gaussians):
+            quad[:, k * p:(k + 1) * p, k * p:(k + 1) * p] += sides[k].quad[rows[k]]
+        points = [side.point[r] for side, r in zip(sides, rows)]
+        lin = np.concatenate(points[:gaussians], axis=1) if gaussians else None
+        z = np.concatenate(points[gaussians:], axis=1) if gaussians < 2 else None
+        yield keys, coeff[keys], quad, lin, z, (patterns, pattern_id[keys])
 
-    Pairs come in row-major order, leaving out those whose coefficient
-    product is zero.  Each chunk is (keys, coeff, quad, lin, (patterns, ids)):
-    the flat pair indices i * len(g2) + j, the products c1 conj(c2), the
-    combined forms [[S + A1, -S], [-S, S + conj(A2)]], the linear parts
-    (b1, conj(b2)), and each pair's id in the list of joined exponent
-    patterns poly1 + poly2.
+
+def _pair_values(gaussians: int, blocks: list, out: list, spec: KernelSpec) -> None:
+    """Write the pair integrals of each (left, right) block of a pass to ``out``.
+
+    Raises DivergentNormError for the first pair, block by block and row by
+    row, whose form Q_II does not have a positive definite real part.
     """
-    if not g1 or not g2:
+    live = [k for k, block in enumerate(blocks) if None not in block]
+    if not live:
         return
-    p = spec.dim
-    quad1 = np.array([t.quad for t in g1])
-    quad2 = np.array([t.quad for t in g2]).conj()
-    lin1 = np.array([t.lin for t in g1])
-    lin2 = np.array([t.lin for t in g2]).conj()
-    coeff, patterns, pattern_id = _pair_layout(g1, g2, [t.poly for t in g1], [t.poly for t in g2])
-    kernel = _kernel_blocks(spec)
-    for keys, i, j in _live_chunks(coeff, len(g2)):
-        quad = np.repeat(kernel[None], keys.size, axis=0)
-        quad[:, :p, :p] += quad1[i]
-        quad[:, p:, p:] += quad2[j]
-        lin = np.concatenate([lin1[i], lin2[j]], axis=1)
-        yield keys, coeff[keys], quad, lin, (patterns, pattern_id[keys])
-
-
-def _gauss_pair_values(g1, g2, spec: KernelSpec) -> np.ndarray:
-    """The (len(g1), len(g2)) array of Gaussian x Gaussian pair integrals.
-
-    Raises DivergentNormError for the first divergent pair in row-major
-    order.  That is the pair a term-by-term sum would meet first: a delta
-    pair of an earlier row diverges only if S + Re(A1) is not positive
-    definite, and that block sits inside each of the row's combined forms.
-    """
-    values = np.zeros(len(g1) * len(g2), dtype=complex)
-    for keys, coeff, quad, lin, (patterns, ids) in _gauss_pair_stacks(g1, g2, spec):
-        require_convergent(quad)
-        base, mu, sigma = gaussian_factors(quad, lin)
+    blocks = [blocks[k] for k in live]
+    _, n_ij, n_ji, k_jj = kernel = _kernel_blocks(spec, gaussians)
+    left, right = sides = _stacked(blocks)
+    values = np.zeros((len(left.coeff), len(right.coeff)), dtype=complex)
+    for keys, coeff, quad, lin, z, (patterns, ids) in _pair_stacks(gaussians, blocks, sides, kernel):
+        if z is None:  # nothing pinned: a Gaussian integral
+            require_convergent(quad)
+            base, mu, sigma = gaussian_factors(quad, lin)
+        else:
+            kz = z @ k_jj
+            const = -0.5 * (kz * z).sum(axis=1)
+            if lin is None:  # nothing integrated: kernel derivatives at z_J
+                base, mu, sigma = np.exp(const), -kz, np.broadcast_to(-k_jj, (keys.size, *k_jj.shape))
+            else:  # the Schur complement step over z_I
+                require_convergent(quad)
+                base, m, w = gaussian_factors(quad, lin + z @ n_ji, const)
+                cross = w @ n_ij
+                mu = np.concatenate([m, m @ n_ij - kz], axis=1)
+                sigma = np.concatenate([np.concatenate([w, cross], axis=2),
+                                        np.concatenate([cross.swapaxes(1, 2), n_ji @ cross - k_jj], axis=2)], axis=1)
         moments = stacked_moments(patterns, ids, mu, sigma)
-        values[keys] = require_finite(base * (coeff * moments), "a Gaussian pair integral")
-    return values.reshape(len(g1), len(g2))
+        values.flat[keys] = require_finite(base * (coeff * moments), "a pair integral")
+    i = j = 0
+    for k in live:
+        n, m = out[k].shape
+        out[k][...], i, j = values[i:i + n, j:j + m], i + n, j + m
 
 
-def _gauss_jet_stacks(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec):
-    """The Gaussian x jet pairs (g, d) of (e1, e2) and of (e2, e1), PAIR_CHUNK at a time.
-
-    The pairs are laid out on a grid whose rows are the Gaussians of e1
-    then of e2 and whose columns are the jets of e2 then of e1; only the
-    two diagonal blocks pair up.  Pairs come in row-major order, leaving
-    out those whose coefficient product is zero.  Each chunk is (keys,
-    coeff, quad, lin, (j, patterns, ids)): the flat pair indices, the
-    products c_g conj(c_d), the x-forms Q = A + S, the linear parts
-    b + S beta, and each pair's jet index and id in the list of joined
-    patterns (poly, alpha).
-    """
-    gs, ds = e1.gaussians + e2.gaussians, e2.deltas + e1.deltas
-    if not (e1.gaussians and e2.deltas or e2.gaussians and e1.deltas):
-        return
-    S = spec.signed_quad()
-    quad = np.array([t.quad for t in gs]) + S
-    lin = np.array([t.lin for t in gs])
-    shift = np.array([t.base for t in ds]) @ S
-    coeff, patterns, pattern_id = _pair_layout(gs, ds, [t.poly for t in gs], [t.orders for t in ds])
-    paired = (np.arange(len(gs)) < len(e1.gaussians))[:, None] == (np.arange(len(ds)) < len(e2.deltas))[None, :]
-    coeff[~paired.reshape(-1)] = 0.0
-    for keys, i, j in _live_chunks(coeff, len(ds)):
-        yield keys, coeff[keys], quad[i], lin[i] + shift[j], (j, patterns, pattern_id[keys])
-
-
-def _jet_signs(ds) -> np.ndarray:
-    """(-1)^|alpha| of each jet, the sign integration by parts leaves."""
-    return np.array([(-1.0) ** t.order for t in ds])
-
-
-def _gauss_jet_values(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec):
-    """The Gaussian x jet and jet x Gaussian blocks of the pair integrals of (e1, e2).
-
-    Raises DivergentNormError for the first pair, Gaussian x jet row by row
-    and then jet x Gaussian, whose x-form A + S does not have a positive
-    definite real part.
-    """
-    gs, ds = e1.gaussians + e2.gaussians, e2.deltas + e1.deltas
-    values = np.zeros(len(gs) * len(ds), dtype=complex)
-    if ds:
-        S = spec.signed_quad()
-        beta = np.array([t.base for t in ds])
-        signs = _jet_signs(ds)
-        # The exponent -1/2 beta^T S beta of the kernel factor that completing
-        # the square leaves; it joins the integral's own exponent.
-        const = -0.5 * np.sum((beta @ S) * beta, axis=1)
-    for keys, coeff, quad, lin, (j, patterns, ids) in _gauss_jet_stacks(e1, e2, spec):
-        require_convergent(quad)
-        base, m, w = gaussian_factors(quad, lin, const[j])
-        ws = w @ S
-        mu = np.concatenate([m, (m - beta[j]) @ S], axis=1)
-        sigma = np.concatenate([np.concatenate([w, ws], axis=2),
-                                np.concatenate([ws.swapaxes(1, 2), S @ ws - S], axis=2)], axis=1)
-        moments = stacked_moments(patterns, ids, mu, sigma)
-        values[keys] = require_finite(base * (coeff * signs[j] * moments), "a Gaussian x jet pair integral")
-    values = values.reshape(len(gs), len(ds))
-    n1, n2 = len(e1.gaussians), len(e2.deltas)
-    return values[:n1, :n2], values[n1:, n2:].T.conj()
-
-
-def _jet_jet_values(d1, d2, spec: KernelSpec) -> np.ndarray:
-    """The (len(d1), len(d2)) array of jet pair values, kernel derivatives
-    at the pairs of base points."""
-    values = np.zeros(len(d1) * len(d2), dtype=complex)
-    if not values.size:
-        return values.reshape(len(d1), len(d2))
-    kernel = _kernel_blocks(spec)
-    base1 = np.array([t.base for t in d1])
-    base2 = np.array([t.base for t in d2])
-    sign = (_jet_signs(d1)[:, None] * _jet_signs(d2)[None, :]).reshape(-1)
-    coeff, patterns, pattern_id = _pair_layout(d1, d2, [t.orders for t in d1], [t.orders for t in d2])
-    for keys, i, j in _live_chunks(coeff, len(d2)):
-        z0 = np.concatenate([base1[i], base2[j]], axis=1)
-        mu = -(z0 @ kernel)
-        sigma = np.broadcast_to(-kernel, (keys.size, *kernel.shape))
-        moments = stacked_moments(patterns, pattern_id[keys], mu, sigma)
-        k = np.exp(0.5 * np.sum(mu * z0, axis=1))
-        values[keys] = require_finite(sign[keys] * coeff[keys] * k * moments, "a jet pair value")
-    return values.reshape(len(d1), len(d2))
+def _ordered_sum(values: np.ndarray) -> complex:
+    """Sum of ``values`` in the order of a loop over them."""
+    total = 0.0 + 0.0j
+    for value in values.ravel().tolist():
+        total += value
+    return total
 
 
 def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> complex:
@@ -214,16 +206,13 @@ def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> compl
         raise ValueError("closed-form inner products are defined for the gaussian family")
     if e1.dim != spec.dim or e2.dim != spec.dim:
         raise ValueError(f"element dimensions ({e1.dim}, {e2.dim}) do not match kernel dimension {spec.dim}")
-    gauss = _gauss_pair_values(e1.gaussians, e2.gaussians, spec)
-    gauss_jet, jet_gauss = _gauss_jet_values(e1, e2, spec)
-    jet_jet = _jet_jet_values(e1.deltas, e2.deltas, spec)
-    # Summed in the order of a loop over the terms of e1, then of e2.
-    total = 0.0 + 0.0j
-    rows = np.concatenate([np.concatenate([gauss, gauss_jet], axis=1),
-                           np.concatenate([jet_gauss, jet_jet], axis=1)])
-    for value in rows.ravel().tolist():
-        total += value
-    return spec.prefactor() * total
+    # Term pairs in the order of a loop over the terms of e1, then of e2.
+    n1, n2 = len(e1.gaussians), len(e2.gaussians)
+    pairs = np.zeros((n1 + len(e1.deltas), n2 + len(e2.deltas)), dtype=complex)
+    out = [[pairs[:n1, :n2]], [pairs[:n1, n2:], pairs[n1:, :n2].T], [pairs[n1:, n2:]]]
+    for (gaussians, blocks), block_out in zip(_passes(e1, e2), out):
+        _pair_values(gaussians, blocks, block_out, spec)
+    return spec.prefactor() * _ordered_sum(pairs)
 
 
 def norm_squared(e: SpaceElement, spec: KernelSpec) -> float:
@@ -235,21 +224,27 @@ def norm_squared(e: SpaceElement, spec: KernelSpec) -> float:
 
 
 def l2_inner_product(e1: SpaceElement, e2: SpaceElement) -> complex:
-    """Plain L2 inner product int f conj(g); Gaussian terms only."""
+    """Plain L2 inner product int f conj(g); Gaussian terms only.
+
+    Each pair is the Gaussian integral of the form A1 + conj A2 and linear
+    part b1 + conj b2 against the monomial poly1 + poly2.
+    """
     if e1.dim != e2.dim:
         raise ValueError("element dimension mismatch")
     e1._require_gaussian_only("L2 inner product")
     e2._require_gaussian_only("L2 inner product")
-    total = 0.0 + 0.0j
-    for t1 in e1.gaussians:
-        for t2 in e2.gaussians:
-            t2c = t2.conjugated()
-            poly: dict = {}
-            key = tuple(a + b for a, b in zip(t1.poly, t2c.poly))
-            poly[key] = t1.coeff * t2c.coeff
-            pg = PolyGaussian(poly, t1.quad + t2c.quad, t1.lin + t2c.lin)
-            total += pg.integrate()
-    return total
+    left, right = _gaussian_side(e1.gaussians), _gaussian_side(e2.gaussians, conj=True)
+    if left is None or right is None:
+        return 0j
+    coeff, patterns, pattern_id = _pair_layout(left, right, lambda a, b: tuple(map(operator.add, a, b)))
+    values = np.zeros(coeff.size, dtype=complex)
+    for keys, i, j in _live_chunks(coeff, len(right.coeff)):
+        quad = left.quad[i] + right.quad[j]
+        require_convergent(quad)
+        base, mu, sigma = gaussian_factors(quad, left.point[i] + right.point[j])
+        moments = stacked_moments(patterns, pattern_id[keys], mu, sigma)
+        values[keys] = require_finite(base * (coeff[keys] * moments), "an L2 pair integral")
+    return _ordered_sum(values)
 
 
 def _terms_match(a: GaussianTerm, b: GaussianTerm, tol: float = 1e-14) -> bool:
@@ -299,13 +294,13 @@ def combined_form_min_eigenvalue(e1: SpaceElement, e2: SpaceElement,
 
     This is the quantity whose sign decides DivergentNormError; exposed so
     tests can check the trigger against an explicit eigenvalue computation.
-    Gaussian pairs and the x-forms A + S of Gaussian x jet pairs are
-    assembled exactly as inner_product assembles them, and, as there, a pair
-    whose coefficient product is zero is left out.
+    It reads the forms Q_II of inner_product's stacks, which leave out
+    pairs whose coefficient product is zero; jet pairs have none.
     """
     worst = np.inf
-    stacks = itertools.chain(_gauss_pair_stacks(e1.gaussians, e2.gaussians, spec),
-                             _gauss_jet_stacks(e1, e2, spec))
-    for _, _, quad, _, _ in stacks:
-        worst = min(worst, float(min_real_eigenvalues(quad).min()))
+    for gaussians, blocks in _passes(e1, e2)[:2]:
+        blocks = [block for block in blocks if None not in block]
+        kernel = _kernel_blocks(spec, gaussians)
+        for _, _, quad, *_ in _pair_stacks(gaussians, blocks, _stacked(blocks), kernel) if blocks else ():
+            worst = min(worst, float(min_real_eigenvalues(quad).min()))
     return float(worst)

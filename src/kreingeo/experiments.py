@@ -35,6 +35,7 @@ from .groups import (AffineMap, DiffeoMap, PoincareElement, act_on_element,
                      parse_group_element, random_galileo, random_poincare)
 from .kernels import (KernelSpec, Signature, sobolev_coth_reference,
                       sobolev_kernel_value)
+from .polygauss import PD_TOLERANCE
 from .quadrature import QuadratureGrid, nodes_for_scale, quadrature_inner_product
 
 @dataclass
@@ -624,7 +625,7 @@ def run_oracle_check(p: dict, rng: np.random.Generator):
             a = rng.uniform(0.3, 2.0)  # min eigenvalue a - 2 <= 0: divergent
         a = complex(a, rng.uniform(-0.5, 0.5))
         e = SpaceElement.gaussian([[a]], lin=[rng.normal(scale=0.3)])
-        predicted_divergent = combined_form_min_eigenvalue(e, e, toy) <= 1e-10
+        predicted_divergent = combined_form_min_eigenvalue(e, e, toy) <= PD_TOLERANCE
         try:
             norm_squared(e, toy)
             raised = False

@@ -166,15 +166,21 @@ def induced_metric(pk: PulledBackKernel, u, step: float = METRIC_FD_STEP,
     return MetricTensor(u, g)
 
 
-def analytic_pullback_metric(emb: EmbeddingMap, u) -> MetricTensor:
-    """J^T eta J at u, the pullback of the flat ambient metric."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    J = emb.jacobian_at(u)
+def require_immersion(J: np.ndarray, u: np.ndarray) -> None:
+    """Raise DegenerateImmersionError unless the jacobian J at u has full rank:
+    its smallest singular value is at least RANK_TOLERANCE * max(largest, 1)."""
     sv = np.linalg.svd(J, compute_uv=False)
     if sv.min() < RANK_TOLERANCE * max(sv.max(), 1.0):
         raise DegenerateImmersionError(
             f"jacobian rank deficient at {u.tolist()} (singular values {sv.tolist()})"
         )
+
+
+def analytic_pullback_metric(emb: EmbeddingMap, u) -> MetricTensor:
+    """J^T eta J at u, the pullback of the flat ambient metric."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    J = emb.jacobian_at(u)
+    require_immersion(J, u)
     eta = emb.signature.eta()
     return MetricTensor(u, J.T @ eta @ J)
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import DeltaJetTerm, SpaceElement
-from .errors import DegenerateImmersionError, NonAffineMapError
+from .errors import NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
+from .geometry import require_immersion
 from .kernels import GAUSSIAN, KernelSpec, gram_matrix, signed_square_distances
 
 _ORTHO_TOL = 1e-12
@@ -246,11 +247,7 @@ class DiffeoMap:
                        for xi, (lo, hi) in zip(image, self.domain)):
                 raise ValueError(
                     f"map sends the sample point {u.tolist()} outside the domain")
-            J = self.jacobian_at(u)
-            sv = np.linalg.svd(J, compute_uv=False)
-            if sv.min() < 1e-8 * max(sv.max(), 1.0):
-                raise DegenerateImmersionError(
-                    f"map jacobian is singular at {u.tolist()}")
+            require_immersion(self.jacobian_at(u), u)
 
     def apply(self, u, check_domain: bool = True) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -25,8 +25,9 @@ Moments are built bottom-up one total degree at a time, with no recursion,
 and stop with IntegralOverflowError soon after a degree leaves the float
 range.  mul_linear, a sparse polynomial {multi-index: coeff} times a linear
 form row.z + shift, is the one step behind derivatives, coordinate factors,
-affine substitutions and the chain rule of delta jets.  PolyGaussian keeps
-the term-by-term calculus for the L2 inner product and the tests' oracle.
+affine substitutions and the chain rule of delta jets.  PolyGaussian, the
+term-by-term calculus, now serves only the tests' oracle and the benchmark
+hooks.
 """
 
 import functools

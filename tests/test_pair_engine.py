@@ -3,13 +3,16 @@
 Properties are checked on random mixtures: conjugate symmetry,
 sesquilinearity, and agreement of one stacked batch of B pairs with B
 batches of one pair each (the sum over single-term pieces).  Delta-jet
-pairs are checked against a term-by-term PolyGaussian oracle, the
-elimination determinant against the eigenvalue branch, and the divergence
-decision at the edge of PD_TOLERANCE.
+pairs and the L2 product are checked against term-by-term PolyGaussian
+oracles, and dim-1 jet pairs against a 50-digit mpmath reference that
+integrates the hand-differentiated kernel.  Also checked: the elimination
+determinant against the eigenvalue branch, the divergence decision at the
+edge of PD_TOLERANCE, and the number of stacked passes of a mixed product.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kreingeo.algebra as algebra
-from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, norm_squared
+from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, l2_inner_product, norm_squared
 from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.errors import DivergentNormError
 from kreingeo.kernels import KernelSpec
@@ -349,3 +352,86 @@ def test_far_jet_keeps_its_kernel_factor_inside_the_integral():
     b = 45.0
     value = inner_product(SpaceElement.gaussian([[1.0]]), SpaceElement.delta([b]), LINE)
     assert value == pytest.approx(math.sqrt(math.pi) * math.exp(-b * b / 4), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The L2 product, the number of stacked passes, and a 50-digit jet reference
+
+def oracle_l2(t1, t2):
+    """int t1 conj(t2) as one PolyGaussian integral."""
+    poly = {tuple(i + j for i, j in zip(t1.poly, t2.poly)): t1.coeff * np.conj(t2.coeff)}
+    return PolyGaussian(poly, t1.quad + np.conj(t2.quad), t1.lin + np.conj(t2.lin)).integrate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIGNATURES).flatmap(lambda sig: st.tuples(jet_mixtures(sig), jet_mixtures(sig))))
+def test_l2_inner_product_matches_the_term_by_term_sum(pair):
+    f, g = (SpaceElement(e.dim, e.gaussians) for e in pair)
+    values = [oracle_l2(a, b) for a in f.gaussians for b in g.gaussians]
+    assert abs(l2_inner_product(f, g) - sum(values)) <= 1e-13 * sum(abs(v) for v in values)
+
+
+def test_mixed_inner_product_is_three_stacked_passes(monkeypatch):
+    # Gaussian pairs, Gaussian x jet pairs of both argument orders, and jet
+    # pairs: the last integrates nothing, so it needs no Gaussian factors.
+    calls = {"gaussian_factors": 0, "stacked_moments": 0}
+    for name in calls:
+        def counted(*args, _name=name, _wrapped=getattr(algebra, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(algebra, name, counted)
+    spec = KernelSpec.gaussian(2, 1)
+    rng = np.random.default_rng(4)
+
+    def mixture():
+        gaussians = [GaussianTerm(rng.normal() + 1j * rng.normal(), np.diag([1.2, 1.5, 3.0]) + 0.1j,
+                                  0.3 * rng.normal(size=3), (k, 0, 1)) for k in range(2)]
+        jets = [DeltaJetTerm(rng.normal() + 1j, rng.uniform(-1, 1, 3), orders) for orders in ((1, 0, 0), (0, 0, 2))]
+        return SpaceElement(3, tuple(gaussians), tuple(jets))
+
+    inner_product(mixture(), mixture(), spec)
+    assert calls == {"gaussian_factors": 2, "stacked_moments": 3}
+
+
+def kernel_u_derivative(n, u, s):
+    """d^n/du^n of exp(-s u^2 / 2), written out by hand for n <= 4."""
+    factor = [1, -s * u, s * s * u * u - s, -s ** 3 * u ** 3 + 3 * s * s * u,
+              s ** 4 * u ** 4 - 6 * s ** 3 * u * u + 3 * s * s][n]
+    return factor * mp.exp(-s * u * u / 2)
+
+
+def reference_gauss_jet_integral(t, jet, s):
+    """int x^k exp(-a x^2 / 2 + b x) (-1)^alpha d^alpha_y k(x, y) dx at y = beta,
+    by 50-digit quadrature; d_y k(x, y) = -k'(x - y) for k(u) = exp(-s u^2 / 2)."""
+    (k,), a, b, beta = t.poly, mp.mpc(t.quad[0, 0]), mp.mpc(t.lin[0]), mp.mpf(jet.base[0])
+    return mp.quad(lambda x: x ** k * mp.exp(-a * x * x / 2 + b * x)
+                   * kernel_u_derivative(jet.order, x - beta, s), [-mp.inf, mp.inf])
+
+
+@pytest.mark.parametrize("signature, quad, lin, poly", [
+    ((1, 0), 1.3 + 0.2j, 0.3 - 0.1j, 2),
+    ((0, 1), 3.1 - 0.4j, -0.2 + 0.35j, 1),
+])
+def test_jet_pairs_match_a_50_digit_reference(signature, quad, lin, poly):
+    spec = KernelSpec.gaussian(*signature)
+    s = 1 if signature == (1, 0) else -1
+    g = GaussianTerm(0.8 - 0.6j, [[quad]], [lin], (poly,))
+    jets = [DeltaJetTerm(0.7 + 0.4j, [0.4], (0,)), DeltaJetTerm(-0.3 + 1.1j, [-0.7], (1,)),
+            DeltaJetTerm(1.2 - 0.5j, [0.15], (2,))]
+    others = [DeltaJetTerm(t.coeff * 1j, t.base - 0.6, t.orders) for t in jets]
+    gauss, left, right = (SpaceElement(1, (g,)), SpaceElement(1, (), tuple(jets)),
+                          SpaceElement(1, (), tuple(others)))
+    # (g, d) and (d, g) integrate g and conj(g) against the same real kernel
+    # derivative; (d1, d2) is (-1)^(a1 + a2) d^a1_x d^a2_y k = (-1)^a1 k^(a1 + a2).
+    with mp.workdps(50):
+        integrals = [reference_gauss_jet_integral(g, d, s) for d in jets]
+        gauss_jet = [g.coeff * np.conj(d.coeff) * v for d, v in zip(jets, integrals)]
+        jet_gauss = [d.coeff * np.conj(g.coeff) * mp.conj(v) for d, v in zip(jets, integrals)]
+        jet_jet = [d1.coeff * np.conj(d2.coeff) * (-1) ** d1.order
+                   * kernel_u_derivative(d1.order + d2.order, mp.mpf(d1.base[0]) - mp.mpf(d2.base[0]), s)
+                   for d1 in jets for d2 in others]
+        for (e1, e2), pairs in (((gauss, left), gauss_jet), ((left, gauss), jet_gauss),
+                                ((left, right), jet_jet)):
+            want = complex(mp.fsum(pairs))
+            scale = float(mp.fsum(abs(v) for v in pairs))
+            assert abs(inner_product(e1, e2, spec) - want) <= 1e-14 * scale
