@@ -393,6 +393,24 @@ def test_mixed_inner_product_is_three_stacked_passes(monkeypatch):
     assert calls == {"gaussian_factors": 2, "stacked_moments": 3}
 
 
+def test_chunks_across_the_blocks_of_a_pass_match_a_single_batch(monkeypatch):
+    # With 3 pairs a chunk, chunks of the Gaussian x jet pass straddle its
+    # Gaussian x jet and jet x Gaussian blocks.
+    spec = KernelSpec.gaussian(1, 1)
+    rng = np.random.default_rng(6)
+
+    def mixture():
+        gaussians = [GaussianTerm(rng.normal() + 1j * rng.normal(), np.diag([1.4, 3.2]) + 0.1j,
+                                  0.3 * rng.normal(size=2), (k % 2, 1)) for k in range(3)]
+        jets = [DeltaJetTerm(rng.normal() + 1j, rng.uniform(-1, 1, 2), orders) for orders in ((0, 1), (1, 1))]
+        return SpaceElement(2, tuple(gaussians), tuple(jets))
+
+    e1, e2 = mixture(), mixture()
+    whole = inner_product(e1, e2, spec)
+    monkeypatch.setattr(algebra, "PAIR_CHUNK", 3)
+    assert abs(inner_product(e1, e2, spec) - whole) <= 1e-13 * abs(whole)
+
+
 def kernel_u_derivative(n, u, s):
     """d^n/du^n of exp(-s u^2 / 2), written out by hand for n <= 4."""
     factor = [1, -s * u, s * s * u * u - s, -s ** 3 * u ** 3 + 3 * s * s * u,
