@@ -159,7 +159,8 @@ def _pair_values(gaussians: int, blocks: list, out: list, spec: KernelSpec) -> N
     """Write the pair integrals of each (left, right) block of a pass to ``out``.
 
     Raises DivergentNormError for the first pair, block by block and row by
-    row, whose form Q_II does not have a positive definite real part.
+    row, whose form Q_II does not have a positive definite real part, and
+    IntegralOverflowError for the first value beyond the float range.
     """
     live = [k for k, block in enumerate(blocks) if None not in block]
     if not live:
@@ -210,8 +211,9 @@ def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> compl
     n1, n2 = len(e1.gaussians), len(e2.gaussians)
     pairs = np.zeros((n1 + len(e1.deltas), n2 + len(e2.deltas)), dtype=complex)
     out = [[pairs[:n1, :n2]], [pairs[:n1, n2:], pairs[n1:, :n2].T], [pairs[n1:, n2:]]]
-    for (gaussians, blocks), block_out in zip(_passes(e1, e2), out):
-        _pair_values(gaussians, blocks, block_out, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports overflow
+        for (gaussians, blocks), block_out in zip(_passes(e1, e2), out):
+            _pair_values(gaussians, blocks, block_out, spec)
     return spec.prefactor() * _ordered_sum(pairs)
 
 

@@ -192,7 +192,6 @@ class EvolutionPath:
     center: np.ndarray
     momentum: np.ndarray
     space_dim: int
-    t_range: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))

@@ -92,9 +92,6 @@ class GaussianTerm:
     def scaled(self, factor: complex) -> "GaussianTerm":
         return self._sibling(self.coeff * factor)
 
-    def conjugated(self) -> "GaussianTerm":
-        return self._sibling(self.coeff.conjugate(), quad=self.quad.conj(), lin=self.lin.conj())
-
     def reflected(self, signature: Signature) -> "GaussianTerm":
         """Composition with the reflection of all negative-signature coordinates."""
         r = signature.signs()
@@ -208,14 +205,6 @@ class SpaceElement:
     @property
     def is_zero(self) -> bool:
         return not self.gaussians and not self.deltas
-
-    @property
-    def is_delta_only(self) -> bool:
-        return not self.gaussians and bool(self.deltas)
-
-    @property
-    def is_gaussian_only(self) -> bool:
-        return not self.deltas
 
     def _require_gaussian_only(self, what: str):
         if self.deltas:

@@ -21,6 +21,13 @@ METRIC_FD_STEP = 1e-4
 RANK_TOLERANCE = 1e-8
 
 
+def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
+    """df/du at u by central differences of step JACOBIAN_FD_STEP, one column per coordinate."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return np.column_stack([(f(u + h) - f(u - h)) / (2.0 * JACOBIAN_FD_STEP)
+                            for h in np.eye(u.shape[0]) * JACOBIAN_FD_STEP])
+
+
 @dataclass(frozen=True)
 class EmbeddingMap:
     """Immersion X: U subset R^n -> R^p with signature on the ambient space."""
@@ -56,12 +63,7 @@ class EmbeddingMap:
             if J.shape != (self.ambient_dim, self.domain_dim):
                 raise ValueError("analytic jacobian has the wrong shape")
             return J
-        J = np.empty((self.ambient_dim, self.domain_dim))
-        for mu in range(self.domain_dim):
-            step = np.zeros(self.domain_dim)
-            step[mu] = JACOBIAN_FD_STEP
-            J[:, mu] = (self(u + step) - self(u - step)) / (2.0 * JACOBIAN_FD_STEP)
-        return J
+        return central_difference_jacobian(self, u)
 
     def contains(self, u, margin: float = 0.0) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -1,6 +1,6 @@
 """Space-time group elements and their linear extensions to delta spans.
 
-Poincare and Galileo elements act affinely on coordinates (ordering
+Poincare and Galileo elements are affine maps of coordinates (ordering
 (x1, x2, x3, t), timelike coordinate last); expression-based
 diffeomorphisms act on coordinate boxes.  Any point map extends uniquely
 to the span of delta functionals over a finite point set by
@@ -16,7 +16,7 @@ import numpy as np
 from .elements import DeltaJetTerm, SpaceElement
 from .errors import NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
-from .geometry import require_immersion
+from .geometry import central_difference_jacobian, require_immersion
 from .kernels import GAUSSIAN, KernelSpec, gram_matrix, signed_square_distances
 
 _ORTHO_TOL = 1e-12
@@ -39,7 +39,10 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset on R^m."""
+    """x -> matrix @ x + offset on R^m.
+
+    Subclasses only check structure; compose and inverse keep the left operand's class.
+    """
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -58,36 +61,41 @@ class AffineMap:
 
     def apply(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
+        if x.shape != self.offset.shape:
             raise ValueError("point dimension mismatch")
         return self.matrix @ x + self.offset
 
+    def _like(self, matrix, offset) -> "AffineMap":
+        """A map of this map's class, checked by that class's structure test."""
+        g = object.__new__(type(self))
+        AffineMap.__init__(g, matrix, offset)
+        return g
+
     def compose(self, other: "AffineMap") -> "AffineMap":
-        return AffineMap(self.matrix @ other.matrix,
-                         self.matrix @ other.offset + self.offset)
+        return self._like(self.matrix @ other.matrix, self.matrix @ other.offset + self.offset)
+
+    __matmul__ = compose
 
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)
-        return AffineMap(inv, -inv @ self.offset)
+        return self._like(inv, -inv @ self.offset)
 
 
-@dataclass(frozen=True)
-class PoincareElement:
+class PoincareElement(AffineMap):
     """Lorentz matrix plus space-time translation, coordinates (x, t)."""
 
-    lorentz: np.ndarray
-    translation: np.ndarray
-
     def __post_init__(self):
-        L = np.asarray(self.lorentz, dtype=float)
-        a = np.atleast_1d(np.asarray(self.translation, dtype=float))
-        if L.shape != (4, 4) or a.shape != (4,):
+        super().__post_init__()
+        L = self.matrix
+        if L.shape != (4, 4):
             raise ValueError("Poincare element needs a 4x4 matrix and a 4-vector")
         eta = eta4()
         if np.max(np.abs(L.T @ eta @ L - eta)) > _ORTHO_TOL:
             raise ValueError("matrix does not preserve the flat space-time metric")
-        object.__setattr__(self, "lorentz", L)
-        object.__setattr__(self, "translation", a)
+
+    @property
+    def lorentz(self) -> np.ndarray:
+        return self.matrix
 
     @classmethod
     def identity(cls) -> "PoincareElement":
@@ -121,96 +129,52 @@ class PoincareElement:
             L[3, 3] = gamma
         return cls(L, np.zeros(4))
 
-    @property
-    def dim(self) -> int:
-        return 4
-
-    def apply(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (4,):
-            raise ValueError("Poincare elements act on 4-vectors")
-        return self.lorentz @ x + self.translation
-
-    def compose(self, other: "PoincareElement") -> "PoincareElement":
-        return PoincareElement(self.lorentz @ other.lorentz,
-                               self.lorentz @ other.translation + self.translation)
-
-    __matmul__ = compose
-
-    def inverse(self) -> "PoincareElement":
-        eta = eta4()
-        inv = eta @ self.lorentz.T @ eta
-        return PoincareElement(inv, -inv @ self.translation)
-
     def rapidity(self) -> float:
         """Boost rapidity read off the time-time component."""
         return math.acosh(max(float(self.lorentz[3, 3]), 1.0))
 
-    def as_affine(self) -> AffineMap:
-        return AffineMap(self.lorentz, self.translation)
 
+class GalileoElement(AffineMap):
+    """(x, t) -> (A x + v t + b, t + c), A orthogonal: matrix [[A, v], [0, 1]], offset (b, c)."""
 
-@dataclass(frozen=True)
-class GalileoElement:
-    """(x, t) -> (A x + v t + b, t + c) with A orthogonal."""
-
-    rotation: np.ndarray
-    velocity: np.ndarray
-    shift: np.ndarray
-    time_shift: float = 0.0
-
-    def __post_init__(self):
-        A = np.asarray(self.rotation, dtype=float)
-        v = np.atleast_1d(np.asarray(self.velocity, dtype=float))
-        b = np.atleast_1d(np.asarray(self.shift, dtype=float))
+    def __init__(self, rotation, velocity, shift, time_shift: float = 0.0):
+        A = np.asarray(rotation, dtype=float)
+        v = np.atleast_1d(np.asarray(velocity, dtype=float))
+        b = np.atleast_1d(np.asarray(shift, dtype=float))
         if A.shape != (3, 3) or v.shape != (3,) or b.shape != (3,):
             raise ValueError("Galileo element needs a 3x3 matrix and two 3-vectors")
-        if np.max(np.abs(A.T @ A - np.eye(3))) > _ORTHO_TOL:
+        M = np.eye(4)
+        M[:3, :3] = A
+        M[:3, 3] = v
+        super().__init__(M, np.append(b, float(time_shift)))
+
+    def __post_init__(self):
+        super().__post_init__()
+        M = self.matrix
+        if M.shape != (4, 4) or M[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
+            raise ValueError("Galileo element needs the block matrix [[A, v], [0, 1]]")
+        if np.max(np.abs(M[:3, :3].T @ M[:3, :3] - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation part must be orthogonal")
-        object.__setattr__(self, "rotation", A)
-        object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "shift", b)
-        object.__setattr__(self, "time_shift", float(self.time_shift))
 
     @classmethod
     def identity(cls) -> "GalileoElement":
         return cls(np.eye(3), np.zeros(3), np.zeros(3), 0.0)
 
     @property
-    def dim(self) -> int:
-        return 4
+    def rotation(self) -> np.ndarray:
+        return self.matrix[:3, :3]
 
-    def apply(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (4,):
-            raise ValueError("Galileo elements act on 4-vectors (x, t)")
-        spatial = self.rotation @ x[:3] + self.velocity * x[3] + self.shift
-        return np.append(spatial, x[3] + self.time_shift)
+    @property
+    def velocity(self) -> np.ndarray:
+        return self.matrix[:3, 3]
 
-    def compose(self, other: "GalileoElement") -> "GalileoElement":
-        return GalileoElement(
-            self.rotation @ other.rotation,
-            self.rotation @ other.velocity + self.velocity,
-            self.rotation @ other.shift + self.velocity * other.time_shift + self.shift,
-            self.time_shift + other.time_shift,
-        )
+    @property
+    def shift(self) -> np.ndarray:
+        return self.offset[:3]
 
-    __matmul__ = compose
-
-    def inverse(self) -> "GalileoElement":
-        At = self.rotation.T
-        return GalileoElement(
-            At,
-            -At @ self.velocity,
-            At @ (self.velocity * self.time_shift - self.shift),
-            -self.time_shift,
-        )
-
-    def as_affine(self) -> AffineMap:
-        M = np.eye(4)
-        M[:3, :3] = self.rotation
-        M[:3, 3] = self.velocity
-        return AffineMap(M, np.append(self.shift, self.time_shift))
+    @property
+    def time_shift(self) -> float:
+        return float(self.offset[3])
 
 
 @dataclass(frozen=True)
@@ -237,14 +201,15 @@ class DiffeoMap:
     def dim(self) -> int:
         return len(self.domain)
 
+    def _in_box(self, x) -> bool:
+        return all(lo - 1e-9 <= xi <= hi + 1e-9 for xi, (lo, hi) in zip(x, self.domain))
+
     def _validate_samples(self):
         axes = [np.linspace(lo, hi, 4) for lo, hi in self.domain]
         mesh = np.meshgrid(*axes, indexing="ij")
         samples = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         for u in samples:
-            image = self.apply(u, check_domain=False)
-            if not all(lo - 1e-9 <= xi <= hi + 1e-9
-                       for xi, (lo, hi) in zip(image, self.domain)):
+            if not self._in_box(self.apply(u, check_domain=False)):
                 raise ValueError(
                     f"map sends the sample point {u.tolist()} outside the domain")
             require_immersion(self.jacobian_at(u), u)
@@ -253,33 +218,37 @@ class DiffeoMap:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (self.dim,):
             raise ValueError("point dimension mismatch")
-        if check_domain and not all(lo - 1e-9 <= ui <= hi + 1e-9
-                                    for ui, (lo, hi) in zip(u, self.domain)):
+        if check_domain and not self._in_box(u):
             raise ValueError(f"point {u.tolist()} is outside the map domain")
         return np.array([float(evaluate(e, u)) for e in self.exprs])
 
-    def jacobian_at(self, u, step: float = 1e-6) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        J = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            h = np.zeros(self.dim)
-            h[j] = step
-            J[:, j] = (self.apply(u + h, check_domain=False)
-                       - self.apply(u - h, check_domain=False)) / (2.0 * step)
-        return J
+    def jacobian_at(self, u) -> np.ndarray:
+        return central_difference_jacobian(lambda x: self.apply(x, check_domain=False), u)
 
 
-GroupElement = PoincareElement | GalileoElement | AffineMap | DiffeoMap
+GroupElement = AffineMap | DiffeoMap
 
 
 def apply_point(g: GroupElement, x) -> np.ndarray:
     """Action of a group element on a finite coordinate point."""
-    if not isinstance(g, (PoincareElement, GalileoElement, AffineMap, DiffeoMap)):
+    if not isinstance(g, (AffineMap, DiffeoMap)):
         raise TypeError(f"cannot apply object of type {type(g).__name__} to points")
     x = np.asarray(x, dtype=float)
     if not all(map(math.isfinite, x.ravel().tolist())):
         raise ValueError(f"point {x.tolist()} is not finite")
     return g.apply(x)
+
+
+def _move_deltas(e: SpaceElement, move, error: type[Exception], who: str) -> SpaceElement:
+    """delta_a -> delta_{move(a)} on a span of zero-order deltas; ``who`` names the map."""
+    if e.gaussians:
+        raise error(f"{who} do not act on Gaussian terms; only delta spans transform")
+    deltas = []
+    for t in e.deltas:
+        if t.order != 0:
+            raise error(f"{who} act on zero-order deltas only")
+        deltas.append(DeltaJetTerm(t.coeff, move(t.base), t.orders))
+    return SpaceElement(e.dim, deltas=tuple(deltas))
 
 
 @dataclass(frozen=True)
@@ -332,15 +301,8 @@ class DeltaSpanOperator:
         return idx
 
     def apply(self, e: SpaceElement) -> SpaceElement:
-        if e.gaussians:
-            raise ValueError("element is outside the delta span")
-        deltas = []
-        for t in e.deltas:
-            if t.order != 0:
-                raise ValueError("span operators act on zero-order deltas")
-            idx = self._match(t.base)
-            deltas.append(DeltaJetTerm(t.coeff, self.targets[idx], t.orders))
-        return SpaceElement(e.dim, deltas=tuple(deltas))
+        return _move_deltas(e, lambda base: self.targets[self._match(base)],
+                            ValueError, "span operators")
 
 
 def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
@@ -361,20 +323,10 @@ def act_on_element(op, e: SpaceElement) -> SpaceElement:
     """
     if isinstance(op, DeltaSpanOperator):
         return op.apply(e)
-    if isinstance(op, (PoincareElement, GalileoElement, AffineMap)):
-        aff = op if isinstance(op, AffineMap) else op.as_affine()
-        return e.pushforward_affine(aff.matrix, aff.offset)
+    if isinstance(op, AffineMap):
+        return e.pushforward_affine(op.matrix, op.offset)
     if isinstance(op, DiffeoMap):
-        if e.gaussians:
-            raise NonAffineMapError(
-                "non-affine maps do not preserve the Gaussian family; "
-                "only delta spans transform")
-        deltas = []
-        for t in e.deltas:
-            if t.order != 0:
-                raise NonAffineMapError("non-affine maps act on zero-order deltas only")
-            deltas.append(DeltaJetTerm(t.coeff, op.apply(t.base), t.orders))
-        return SpaceElement(e.dim, deltas=tuple(deltas))
+        return _move_deltas(e, op.apply, NonAffineMapError, "non-affine maps")
     raise TypeError(f"cannot act with object of type {type(op).__name__}")
 
 
@@ -440,10 +392,8 @@ def parse_group_element(record: dict) -> GroupElement:
             raise ValueError(f"unknown galileo keys: {sorted(unknown)}")
         rotation = (rotation_matrix(spec["axis"], float(spec["angle"]))
                     if "axis" in spec else np.eye(3))
-        return GalileoElement(rotation,
-                              np.asarray(spec.get("v", [0, 0, 0]), dtype=float),
-                              np.asarray(spec.get("b", [0, 0, 0]), dtype=float),
-                              float(spec.get("c", 0.0)))
+        return GalileoElement(rotation, spec.get("v", np.zeros(3)), spec.get("b", np.zeros(3)),
+                              spec.get("c", 0.0))
     if keys == {"diffeo"}:
         spec = record["diffeo"]
         unknown = set(spec) - {"maps", "domain"}
@@ -458,9 +408,7 @@ def parse_group_element(record: dict) -> GroupElement:
         if "boost" in record:
             element = PoincareElement.boost(record["boost"]) @ element
         if "translation" in record:
-            shift = PoincareElement.from_translation(
-                np.asarray(record["translation"], dtype=float))
-            element = shift @ element
+            element = PoincareElement.from_translation(record["translation"]) @ element
         return element
     raise ValueError(f"unrecognized group element config with keys {sorted(keys)}")
 

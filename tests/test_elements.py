@@ -45,15 +45,6 @@ def test_delta_jet_rejects_non_finite_coefficient():
         DeltaJetTerm(complex(np.inf, 1.0), np.zeros(2))
 
 
-def test_conjugated_term_is_not_revalidated(monkeypatch):
-    t = GaussianTerm(1.0 + 2.0j, [[1.5 + 0.5j]], [0.3 - 0.1j], (2,))
-    monkeypatch.setattr(GaussianTerm, "__post_init__",
-                        lambda self: pytest.fail("conjugated() re-validated its term"))
-    c = t.conjugated()
-    assert c.coeff == 1.0 - 2.0j and c.poly == (2,)
-    assert np.array_equal(c.quad, [[1.5 - 0.5j]]) and np.array_equal(c.lin, [0.3 + 0.1j])
-
-
 @pytest.mark.parametrize("derive", [
     lambda e: e.derivative(1), lambda e: e.mul_coord(0), lambda e: e * (2.0 - 1.0j),
     lambda e: e.reflected(Signature(1, 1)),

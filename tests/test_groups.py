@@ -58,8 +58,10 @@ def test_group_inverses():
     x = rng.normal(size=4)
     for _ in range(10):
         g = random_poincare(rng)
+        assert type(g.inverse()) is PoincareElement
         assert np.allclose(apply_point(g.inverse(), apply_point(g, x)), x, atol=1e-12)
         h = random_galileo(rng)
+        assert type(h.inverse()) is GalileoElement
         assert np.allclose(apply_point(h.inverse(), apply_point(h, x)), x, atol=1e-12)
 
 
@@ -152,8 +154,9 @@ def test_span_operator_rejects_outside_elements():
     op = DeltaSpanOperator(np.zeros((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError):
         op.apply(embed_delta([5.0, 5.0]))
-    with pytest.raises(ValueError):
-        op.apply(SpaceElement.gaussian(np.eye(2)))
+    for outside in (SpaceElement.gaussian(np.eye(2)), SpaceElement.delta([0.0, 0.0], orders=(1, 0))):
+        with pytest.raises(ValueError):
+            op.apply(outside)
 
 
 def test_affine_pushforward_of_gaussian_translation():
@@ -170,6 +173,15 @@ def test_delta_maps_to_delta_under_boost():
     out = act_on_element(boost, SpaceElement.delta(a))
     assert np.allclose(out.deltas[0].base, apply_point(boost, a), atol=1e-14)
     assert out.deltas[0].coeff == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [random_poincare, random_galileo])
+def test_group_elements_act_as_their_affine_maps(make):
+    g = make(np.random.default_rng(12))
+    e = (SpaceElement.gaussian(np.eye(4) * 1.2, lin=[0.1, -0.2, 0.3, 0.0], coeff=0.5 - 0.5j)
+         + SpaceElement.delta([0.3, -0.2, 0.1, 0.5], coeff=2.0, orders=(1, 0, 0, 1)))
+    want = act_on_element(AffineMap(g.matrix, g.offset), e)
+    assert act_on_element(g, e).to_dict() == want.to_dict()
 
 
 def test_pushforward_is_kernel_adjoint_for_isometries():
@@ -190,8 +202,9 @@ def test_nonaffine_on_gaussian_raises():
     diffeo = DiffeoMap.from_strings(
         ["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
         [(-1.0, 1.0), (-1.0, 1.0)])
-    with pytest.raises(NonAffineMapError):
-        act_on_element(diffeo, SpaceElement.gaussian(np.eye(2)))
+    for outside in (SpaceElement.gaussian(np.eye(2)), SpaceElement.delta([0.5, -0.5], orders=(1, 0))):
+        with pytest.raises(NonAffineMapError):
+            act_on_element(diffeo, outside)
     out = act_on_element(diffeo, embed_delta([0.5, -0.5]))
     assert np.allclose(out.deltas[0].base, diffeo.apply([0.5, -0.5]))
 
@@ -317,6 +330,15 @@ def test_group_composition_consistency():
         g, h = random_poincare(rng), random_poincare(rng)
         assert np.allclose(apply_point(g @ h, x),
                            apply_point(g, apply_point(h, x)), atol=1e-12)
+        assert type(g @ h) is PoincareElement
         gg, hh = random_galileo(rng), random_galileo(rng)
         assert np.allclose(apply_point(gg @ hh, x),
                            apply_point(gg, apply_point(hh, x)), atol=1e-12)
+        composed = gg @ hh
+        assert type(composed) is GalileoElement
+        A1, v1, b1, c1 = gg.rotation, gg.velocity, gg.shift, gg.time_shift
+        A2, v2, b2, c2 = hh.rotation, hh.velocity, hh.shift, hh.time_shift
+        assert np.allclose(composed.rotation, A1 @ A2, rtol=0, atol=1e-14)
+        assert np.allclose(composed.velocity, A1 @ v2 + v1, rtol=0, atol=1e-14)
+        assert np.allclose(composed.shift, A1 @ b2 + v1 * c2 + b1, rtol=0, atol=1e-14)
+        assert composed.time_shift == pytest.approx(c1 + c2, rel=0, abs=1e-14)

@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 import kreingeo.algebra as algebra
 from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, l2_inner_product, norm_squared
 from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
-from kreingeo.errors import DivergentNormError
+from kreingeo.errors import DivergentNormError, IntegralOverflowError
 from kreingeo.kernels import KernelSpec
 from kreingeo.polygauss import PD_TOLERANCE, PolyGaussian, sqrt_det
 
@@ -352,6 +352,18 @@ def test_far_jet_keeps_its_kernel_factor_inside_the_integral():
     b = 45.0
     value = inner_product(SpaceElement.gaussian([[1.0]]), SpaceElement.delta([b]), LINE)
     assert value == pytest.approx(math.sqrt(math.pi) * math.exp(-b * b / 4), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e1, e2", [
+    (SpaceElement.delta([0.0]), SpaceElement.delta([40.0])),
+    (SpaceElement.gaussian([[2.0]]), SpaceElement.delta([60.0])),
+    (SpaceElement.delta([60.0]), SpaceElement.gaussian([[2.0]])),
+], ids=["jet-jet", "gauss-jet", "jet-gauss"])
+def test_far_pair_overflow_raises_without_numpy_warning(e1, e2):
+    # The time toy's kernel exp(+t^2/2) puts these values beyond the float range.
+    with pytest.raises(IntegralOverflowError, match="float range"):
+        inner_product(e1, e2, TOY)
 
 
 # ---------------------------------------------------------------------------
