@@ -642,12 +642,13 @@ def run_oracle_check(p: dict, rng: np.random.Generator):
     for i in range(samples):
         even = _random_parity_element(rng, odd=False)
         odd = _random_parity_element(rng, odd=True)
-        if norm_squared(even, toy) <= 0.0:
+        even_norm, odd_norm = norm_squared(even, toy), norm_squared(odd, toy)
+        if even_norm <= 0.0:
             sign_violations += 1
-        if norm_squared(odd, toy) >= 0.0:
+        if odd_norm >= 0.0:
             sign_violations += 1
         pairing = abs(inner_product(even, odd, toy))
-        scale = math.sqrt(abs(norm_squared(even, toy)) * abs(norm_squared(odd, toy)))
+        scale = math.sqrt(abs(even_norm) * abs(odd_norm))
         cross = max(cross, pairing / max(scale, 1e-30))
     rows.append(["parity", samples, float(sign_violations)])
 

@@ -32,6 +32,8 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise ValueError("rotation axis must be nonzero")
+    if not (math.isfinite(norm) and math.isfinite(angle)):
+        raise ValueError("rotation axis and angle must be finite")
     k = axis / norm
     K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
@@ -52,6 +54,8 @@ class AffineMap:
         w = np.atleast_1d(np.asarray(self.offset, dtype=float))
         if M.ndim != 2 or M.shape[0] != M.shape[1] or w.shape != (M.shape[0],):
             raise ValueError("affine map needs a square matrix and a matching offset")
+        if not (np.isfinite(M).all() and np.isfinite(w).all()):
+            raise ValueError("affine map needs a finite matrix and offset")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "offset", w)
 
@@ -118,8 +122,8 @@ class PoincareElement(AffineMap):
         if v.shape != (3,):
             raise ValueError("boost velocity must be a 3-vector")
         b2 = float(v @ v)
-        if b2 >= 1.0:
-            raise ValueError("boost speed must be below 1")
+        if not b2 < 1.0:
+            raise ValueError("boost speed must be finite and below 1")
         L = np.eye(4)
         if b2 > 0.0:
             gamma = 1.0 / math.sqrt(1.0 - b2)

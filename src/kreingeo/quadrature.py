@@ -10,7 +10,8 @@ and 2 contract the element values on the full tensor grid; above dimension
 2 the elements must factorize over coordinates (diagonal quadratic forms),
 and each term pair is a product of one-dimensional contractions.
 
-The Gauss--Legendre rule is built on every call by :func:`gauss_legendre`:
+The Gauss--Legendre rule of each node count is built once per process by
+:func:`gauss_legendre` and kept read-only in a bounded cache:
 Newton's method in theta = arccos(x) on the finite cosine series of
 P_n(cos theta), with the weights from dP_n/dtheta.  Its weights agree with
 40-digit values to about 3e-13 at 960 nodes, where numpy's ``leggauss``
@@ -101,6 +102,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x, x[:m][::-1])), np.concatenate((w, w[:m][::-1]))
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_legendre(n), built once per node count; read-only."""
+    x, w = gauss_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Per-dimension Gauss--Legendre node count and half-width of the box."""
@@ -118,7 +128,7 @@ class QuadratureGrid:
             raise ValueError(f"domain radius must be positive and finite, got {self.radius!r}")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        x, w = gauss_legendre(self.nodes)
+        x, w = _cached_rule(self.nodes)
         return x * self.radius, w * self.radius
 
 

@@ -120,6 +120,30 @@ def test_apply_point_rejects_non_finite_points(bad):
             apply_point(g, point)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_group_elements_reject_non_finite_entries(bad):
+    matrix = np.eye(4)
+    matrix[1, 2] = bad
+    offset = np.zeros(4)
+    offset[3] = bad
+    builds = [lambda: AffineMap(matrix, np.zeros(4)), lambda: AffineMap(np.eye(4), offset),
+              lambda: PoincareElement(matrix, np.zeros(4)),
+              lambda: PoincareElement(np.eye(4), offset),
+              lambda: GalileoElement(matrix[:3, :3], np.zeros(3), np.zeros(3)),
+              lambda: GalileoElement(np.eye(3), [bad, 0, 0], np.zeros(3)),
+              lambda: GalileoElement(np.eye(3), np.zeros(3), np.zeros(3), bad),
+              lambda: PoincareElement.boost([bad, 0, 0]),
+              lambda: parse_group_element({"translation": [0, 0, bad, 0]}),
+              lambda: parse_group_element({"boost": [0, bad, 0]}),
+              lambda: parse_group_element({"rotation": {"axis": [0, bad, 1], "angle": 0.5}}),
+              lambda: parse_group_element({"rotation": {"axis": [0, 0, 1], "angle": bad}}),
+              lambda: parse_group_element({"galileo": {"v": [0, 0, bad]}}),
+              lambda: parse_group_element({"galileo": {"b": [bad, 0, 0], "c": 1.0}})]
+    for build in builds:
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_span_rejects_numerically_dependent_deltas():
     # Distinct but nearly coincident points fail the Gram conditioning check.
     pts = np.array([[0.0, 0, 0, 0], [1e-7, 0, 0, 0]])

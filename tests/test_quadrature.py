@@ -199,3 +199,53 @@ def test_grid_needs_an_interior_node():
     with pytest.raises(ValueError, match="interior node"):
         QuadratureGrid(2, 8.0)
     assert len(QuadratureGrid(3, 8.0).points()[0]) == 3
+
+
+@pytest.fixture
+def empty_rule_cache():
+    quadrature._cached_rule.cache_clear()
+    yield
+    quadrature._cached_rule.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 48, 96, 960])
+def test_grid_points_are_the_scaled_rule_bit_for_bit(n):
+    x, w = gauss_legendre(n)
+    for radius in (8.0, 2.5):
+        nodes, weights = QuadratureGrid(n, radius).points()
+        assert np.array_equal(nodes, x * radius) and np.array_equal(weights, w * radius)
+
+
+def test_rule_is_built_once_per_node_count(monkeypatch, empty_rule_cache):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", counting)
+    spec = KernelSpec.gaussian(1, 0)
+    f = SpaceElement.gaussian([[2.0]])
+    grid = QuadratureGrid(40, 8.0)
+    first = quadrature_inner_product(f, f, spec, grid)
+    assert quadrature_inner_product(f, f, spec, grid) == first
+    assert calls == [40]
+
+
+def test_cached_rule_is_read_only_and_points_are_fresh(empty_rule_cache):
+    x, w = quadrature._cached_rule(24)
+    assert not x.flags.writeable and not w.flags.writeable
+    grid = QuadratureGrid(24, 1.0)
+    nodes, weights = grid.points()
+    expected = nodes.copy(), weights.copy()
+    nodes[:] = 0.0
+    weights[:] = 0.0
+    again = grid.points()
+    assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
+
+
+def test_newton_failure_is_not_cached(monkeypatch, empty_rule_cache):
+    monkeypatch.setattr(quadrature, "NEWTON_PASSES", 1)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            QuadratureGrid(97).points()
