@@ -159,6 +159,8 @@ class HamiltonianSpec:
             raise ValueError("mass must be positive")
         if self.frequency < 0:
             raise ValueError("frequency must be nonnegative")
+        if self.kind == "free" and self.frequency != 0:
+            raise ValueError("a free Hamiltonian has no frequency")
 
     def apply(self, psi: SpaceElement) -> SpaceElement:
         """h psi within the Gaussian-jet family."""

@@ -5,9 +5,9 @@ runs one from an :class:`ExperimentConfig`: a deterministic computation
 governed solely by the seed and parameters, whose tables it writes as CSV
 data files (plus JSON mirrors) for plotting, and whose
 :class:`ExperimentReport` has measurements that all carry explicit tolerances.
-A measurement passes when its value is less than or equal to its
-tolerance, so deviations are reported as magnitudes and boolean checks as
-violation counts with tolerance zero.
+A runner hands each per-case value to a :class:`Tally`, so a measurement is
+its worst per-case value (a deviation) or its count of failed cases (with
+tolerance zero).  It passes when its value is at most its tolerance: a NaN fails.
 """
 
 import json
@@ -40,7 +40,7 @@ from .quadrature import QuadratureGrid, nodes_for_scale, quadrature_inner_produc
 
 @dataclass
 class Measurement:
-    """One named value checked against a tolerance (pass iff value <= tol)."""
+    """One named value checked against a tolerance (pass iff value <= tol, so NaN fails)."""
 
     name: str
     value: float
@@ -205,11 +205,17 @@ def _tau_grid(value) -> np.ndarray:
     return np.linspace(lo, hi, int(count))
 
 
+def _poincare_elements(records) -> list[PoincareElement]:
+    """Poincare elements from a list of group-element records."""
+    elements = [parse_group_element(r) for r in records]
+    for i, g in enumerate(elements):
+        if not isinstance(g, PoincareElement):
+            raise ValueError(f"[{i}] is a {type(g).__name__}, not a Poincare element")
+    return elements
+
+
 # Parsers for the parameters that runners read as objects, keyed by name.
-_DECODERS = {
-    "tau_grid": _tau_grid,
-    "extra_elements": lambda records: [parse_group_element(r) for r in records],
-}
+_DECODERS = {"tau_grid": _tau_grid, "extra_elements": _poincare_elements}
 
 
 def load_config_file(path, name: str) -> dict:
@@ -284,12 +290,29 @@ def write_report(cfg: ExperimentConfig, report: ExperimentReport) -> Path:
 # ---------------------------------------------------------------------------
 # experiments
 
-def run_norm_convergence(p: dict, rng: np.random.Generator):
+class Tally:
+    """The measured value of each name, reduced from its per-case values.
+
+    ``worst`` keeps the largest value recorded under a name, and keeps a NaN
+    once one is recorded; ``count`` adds up the failed cases.  A runner hands
+    every case of every measurement to one tally.
+    """
+
+    def __init__(self):
+        self.values: dict[str, float] = {}
+
+    def worst(self, name: str, value) -> None:
+        value = float(value)
+        if name not in self.values or value > self.values[name] or math.isnan(value):
+            self.values[name] = value
+
+    def count(self, name: str, failed) -> None:
+        self.values[name] = self.values.get(name, 0) + bool(failed)
+
+
+def run_norm_convergence(p: dict, rng: np.random.Generator, tally: Tally):
     """Norm of the unit-L2 Gaussian under the normalized kernel vs scale."""
     rows = []
-    closed_dev = 0.0
-    quad_dev = 0.0
-    monotonicity = 0
     elements = {}
     for d in p["dims"]:
         f = SpaceElement.gaussian(np.eye(d), coeff=math.pi ** (-0.25 * d))
@@ -301,22 +324,18 @@ def run_norm_convergence(p: dict, rng: np.random.Generator):
             measured = norm_squared(f, spec)
             grid = QuadratureGrid(nodes_for_scale(L), p["quad_radius"])
             quad = quadrature_inner_product(f, f, spec, grid).real
-            closed_dev = max(closed_dev, abs(measured - expected))
-            quad_dev = max(quad_dev, abs(quad - expected) / expected)
-            if previous is not None and measured <= previous:
-                monotonicity += 1
-            if measured >= 1.0:
-                monotonicity += 1
+            closed_dev, quad_dev = abs(measured - expected), abs(quad - expected) / expected
+            tally.worst("closed_form_deviation", closed_dev)
+            tally.worst("quadrature_relative_deviation", quad_dev)
+            if previous is not None:
+                tally.count("monotonicity_violations", not measured > previous)
+            tally.count("monotonicity_violations", not measured < 1.0)
             previous = measured
-            rows.append([d, L, measured, expected, quad,
-                         abs(measured - expected), abs(quad - expected) / expected])
+            rows.append([d, L, measured, expected, quad, closed_dev, quad_dev])
 
-    values = {"closed_form_deviation": closed_dev,
-              "quadrature_relative_deviation": quad_dev,
-              "monotonicity_violations": monotonicity}
     header = ["dim", "scale", "norm_squared", "closed_form", "quadrature",
               "closed_deviation", "quadrature_relative_deviation"]
-    return values, {"norm_convergence": (header, rows)}, elements
+    return {"norm_convergence": (header, rows)}, elements
 
 
 def _interior_points(entry, count: int, rng: np.random.Generator,
@@ -327,30 +346,23 @@ def _interior_points(entry, count: int, rng: np.random.Generator,
     return rng.uniform(lo + pad, hi - pad, size=(count, len(lo)))
 
 
-def run_metric_recovery(p: dict, rng: np.random.Generator):
+def run_metric_recovery(p: dict, rng: np.random.Generator, tally: Tally):
     """Induced metric from kernel derivatives vs the analytic pullback."""
     rows = []
     tensor_rows = []
-    worst = 0.0
-    signature_violations = 0
     for name in p["manifolds"]:
         entry = builtin(name)
         pk = PulledBackKernel(entry.embedding, entry.spec)
         pts = _interior_points(entry, p["points_per_manifold"], rng, 2.5 * p["step"])
-        expected_signature = None
+        expected_signature = entry.analytic_metric_at(pts[0]).eigenvalue_signature()
         for u in pts:
             got = induced_metric(pk, u, step=p["step"])
             want = entry.analytic_metric_at(u)
             scale = max(1.0, float(np.max(np.abs(want.components))))
             dev = float(np.max(np.abs(got.components - want.components))) / scale
-            worst = max(worst, dev)
-            sig = got.eigenvalue_signature()
-            if expected_signature is None:
-                expected_signature = want.eigenvalue_signature()
-            if sig != expected_signature:
-                signature_violations += 1
-            rows.append([name, *(float(x) for x in u),
-                         *([""] * (4 - len(u))), dev])
+            tally.worst("metric_relative_deviation", dev)
+            tally.count("signature_violations", got.eigenvalue_signature() != expected_signature)
+            rows.append([name, *(float(x) for x in u), *([""] * (4 - len(u))), dev])
             coords = [float(x) for x in got.point]
             comps = [float(x) for x in got.components.reshape(-1)]
             tensor_rows.append([name, *coords, *([""] * (4 - len(coords))),
@@ -363,105 +375,81 @@ def run_metric_recovery(p: dict, rng: np.random.Generator):
     pk = PulledBackKernel(entry.embedding, entry.spec)
     u0 = np.array([math.pi / 4.0, 0.7])
     want = entry.analytic_metric_at(u0).components
-    h1, h2 = p["ratio_steps"]
-    err1 = float(np.max(np.abs(induced_metric(pk, u0, step=h1).components - want)))
-    err2 = float(np.max(np.abs(induced_metric(pk, u0, step=h2).components - want)))
+    err1, err2 = (float(np.max(np.abs(induced_metric(pk, u0, step=h).components - want)))
+                  for h in p["ratio_steps"])
     ratio = err1 / err2 if err2 > 0 else float("inf")
+    tally.worst("step_halving_ratio_error", abs(ratio - 4.0))
 
-    values = {"metric_relative_deviation": worst,
-              "signature_violations": signature_violations,
-              "step_halving_ratio_error": abs(ratio - 4.0)}
     # Recovered tensors: point coordinates then row-major components.
     tensor_header = ["manifold"] + [f"u{i}" for i in range(1, 5)] + [
         f"g{i}{j}" for i in range(1, 5) for j in range(1, 5)]
     tables = {"metric_recovery": (["manifold", "u1", "u2", "u3", "u4", "relative_deviation"], rows),
               "metric_tensors": (tensor_header, tensor_rows)}
-    return values, tables, None
+    return tables, None
 
 
-def _commutativity_and_composition(rng: np.random.Generator, samples: int):
+def _commutation_gap(g, pts: np.ndarray) -> float:
+    """Distance of the span image of the delta at ``pts[0]`` from the delta at ``g(pts[0])``."""
+    image = act_on_element(extend_to_span(g, pts), embed_delta(pts[0]))
+    return float(np.max(np.abs(image.deltas[0].base - apply_point(g, pts[0]))))
+
+
+def _commutativity_and_composition(rng: np.random.Generator, samples: int, tally: Tally):
     """Span-operator round trips and group-law consistency."""
     diffeo = DiffeoMap.from_strings(
         ["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
         [(-1.0, 1.0), (-1.0, 1.0)],
     )
-    commutativity = 0.0
-    composition = 0.0
     per_kind = samples // 3
     # Poincare and Galileo elements act on 4-vectors, the diffeo on its box.
-    for i in range(per_kind):
+    for _ in range(per_kind):
         g = random_poincare(rng)
         a = rng.normal(scale=0.8, size=4)
         pts = np.vstack([a, a + rng.normal(scale=1.0, size=4)])
-        op = extend_to_span(g, pts)
-        image = act_on_element(op, embed_delta(a))
-        direct = embed_delta(apply_point(g, a))
-        commutativity = max(commutativity, float(np.max(np.abs(
-            image.deltas[0].base - direct.deltas[0].base))))
+        tally.worst("commutativity_deviation", _commutation_gap(g, pts))
         h = random_poincare(rng)
         composed = extend_to_span(g @ h, pts)
         sequential = extend_to_span(g, np.array([apply_point(h, q) for q in pts]))
-        composition = max(composition, float(np.max(np.abs(
-            composed.targets - sequential.targets))))
-    for i in range(per_kind):
+        tally.worst("composition_deviation",
+                    np.max(np.abs(composed.targets - sequential.targets)))
+    for _ in range(per_kind):
         g = random_galileo(rng)
         a = rng.normal(scale=0.8, size=4)
-        op = extend_to_span(g, a[None, :])
-        image = act_on_element(op, embed_delta(a))
-        direct = embed_delta(apply_point(g, a))
-        commutativity = max(commutativity, float(np.max(np.abs(
-            image.deltas[0].base - direct.deltas[0].base))))
+        tally.worst("commutativity_deviation", _commutation_gap(g, a[None, :]))
         h = random_galileo(rng)
-        composed = apply_point(g @ h, a)
-        sequential = apply_point(g, apply_point(h, a))
-        composition = max(composition, float(np.max(np.abs(composed - sequential))))
-    for i in range(samples - 2 * per_kind):
+        tally.worst("composition_deviation", np.max(np.abs(
+            apply_point(g @ h, a) - apply_point(g, apply_point(h, a)))))
+    for _ in range(samples - 2 * per_kind):
         a = rng.uniform(-0.95, 0.95, size=2)
-        op = extend_to_span(diffeo, a[None, :])
-        image = act_on_element(op, embed_delta(a))
-        direct = embed_delta(apply_point(diffeo, a))
-        commutativity = max(commutativity, float(np.max(np.abs(
-            image.deltas[0].base - direct.deltas[0].base))))
-    return commutativity, composition
+        tally.worst("commutativity_deviation", _commutation_gap(diffeo, a[None, :]))
 
 
-def run_gram_invariance(p: dict, rng: np.random.Generator):
+def run_gram_invariance(p: dict, rng: np.random.Generator, tally: Tally):
     """Invariance of the indefinite Gram matrix under the space-time group."""
     spec = KernelSpec.gaussian(3, 1)
-
     points = rng.normal(scale=p["point_scale"], size=(p["point_count"], 4))
+    # The random sample, then the configured Poincare elements.
+    elements = [random_poincare(rng, max_rapidity=p["max_rapidity"])
+                for _ in range(p["group_samples"])] + p["extra_elements"]
     rows = []
-    worst = 0.0
-    for i in range(p["group_samples"]):
-        g = random_poincare(rng, max_rapidity=p["max_rapidity"])
+    for i, g in enumerate(elements):
         dev = check_gram_invariance(g, points, spec)
-        worst = max(worst, dev)
+        tally.worst("gram_deviation", dev)
         rows.append([i, g.rapidity(), dev])
-    # Config-supplied elements (boost/rotation/translation/galileo records)
-    # are checked alongside the random sample.
-    for j, g in enumerate(p["extra_elements"]):
-        if isinstance(g, PoincareElement):
-            dev = check_gram_invariance(g, points, spec)
-            worst = max(worst, dev)
-            rows.append([p["group_samples"] + j, g.rapidity(), dev])
 
     # Negative control: an anisotropic scaling is not an isometry of the
     # positive-definite kernel and must move the Gram matrix visibly.
     control_spec = KernelSpec.gaussian(4, 0)
     control_points = np.vstack([np.zeros(4), np.eye(4)[0], points[:4]])
     scaling = AffineMap(np.diag([2.0, 1.0, 1.0, 1.0]), np.zeros(4))
-    control_dev = check_gram_invariance(scaling, control_points, control_spec)
+    tally.worst("control_margin",
+                0.1 - check_gram_invariance(scaling, control_points, control_spec))
 
-    commutativity, composition = _commutativity_and_composition(
-        rng, p["commutativity_samples"])
-
-    values = {"gram_deviation": worst, "control_margin": 0.1 - control_dev,
-              "commutativity_deviation": commutativity,
-              "composition_deviation": composition}
-    return values, {"gram_invariance": (["sample", "rapidity", "gram_deviation"], rows)}, None
+    _commutativity_and_composition(rng, p["commutativity_samples"], tally)
+    return {"gram_invariance": (["sample", "rapidity", "gram_deviation"], rows)}, None
 
 
-def run_slice_dynamics(p: dict, rng: np.random.Generator):
+def run_slice_dynamics(p: dict, rng: np.random.Generator, tally: Tally):
     """Schroedinger recovery, velocity orthogonality and slice identities."""
     taus = p["tau_grid"]
     metrics = p["metrics"]
@@ -472,23 +460,19 @@ def run_slice_dynamics(p: dict, rng: np.random.Generator):
     ]
 
     rows = []
-    residual_true = 0.0
-    residual_control = math.inf
-    orthogonality = 0.0
-    superposition = 0.0
     for path in paths:
         h = path.hamiltonian()
-        residual_true = max(residual_true, schrodinger_residual(path, h, taus))
+        tally.worst("residual_true", schrodinger_residual(path, h, taus))
         perturbed = PerturbedPath(path, p["perturbation"])
-        residual_control = min(residual_control,
-                               schrodinger_residual(perturbed, h, taus))
+        tally.worst("residual_control_margin", 1e-2 - schrodinger_residual(perturbed, h, taus))
+        tally.worst("fd_oracle_residual", pde_residual_fd(path, h))
         for tau in taus:
             c1, c2 = path_velocity(path, tau)
-            norms1 = [abs(slice_norm_squared(c1, m)) ** 0.5 for m in metrics]
-            norms2 = [abs(slice_norm_squared(c2, m)) ** 0.5 for m in metrics]
-            rel = [abs(slice_inner_product(c1, c2, m)) / (n1 * n2)
-                   for m, n1, n2 in zip(metrics, norms1, norms2)]
-            orthogonality = max(orthogonality, max(rel))
+            rel = [abs(slice_inner_product(c1, c2, m))
+                   / (abs(slice_norm_squared(c1, m)) ** 0.5 * abs(slice_norm_squared(c2, m)) ** 0.5)
+                   for m in metrics]
+            for value in rel:
+                tally.worst("orthogonality", value)
             rows.append([path.kind, float(tau), *rel])
 
     # Superposition identity at a shared slice time.
@@ -499,61 +483,43 @@ def run_slice_dynamics(p: dict, rng: np.random.Generator):
     combined = TimeSlicedElement.order_zero(psi1, tau) + TimeSlicedElement.order_zero(psi2, tau)
     target = norm_squared(psi1 + psi2, spat)
     for metric in metrics:
-        superposition = max(superposition,
-                            abs(slice_norm_squared(combined, metric) - target))
+        tally.worst("superposition_deviation", abs(slice_norm_squared(combined, metric) - target))
 
     # Galileo transport of 3-dimensional slices preserves the spatial norm.
     packet3 = free_packet(0.9, [0.1, -0.2, 0.3], [0.5, 0.0, 0.2], space_dim=3)
     slice3 = packet3.slice_element(1.0)
     base_norm = norm_squared(slice3.jets[0][0], spatial_spec(3))
-    galileo_dev = 0.0
     for _ in range(p["galileo_samples"]):
-        g = random_galileo(rng)
-        moved = galileo_on_slice(g, slice3)
-        galileo_dev = max(galileo_dev, abs(
-            norm_squared(moved.jets[0][0], spatial_spec(3)) - base_norm))
+        moved = galileo_on_slice(random_galileo(rng), slice3)
+        tally.worst("galileo_norm_deviation",
+                    abs(norm_squared(moved.jets[0][0], spatial_spec(3)) - base_norm))
 
-    fd_oracle = max(pde_residual_fd(paths[0], paths[0].hamiltonian()),
-                    pde_residual_fd(paths[1], paths[1].hamiltonian()))
-
-    values = {"residual_true": residual_true,
-              "residual_control_margin": 1e-2 - residual_control,
-              "fd_oracle_residual": fd_oracle, "orthogonality": orthogonality,
-              "superposition_deviation": superposition,
-              "galileo_norm_deviation": galileo_dev}
     header = ["family", "tau", *(f"orthogonality_{m}" for m in metrics)]
-    elements = {"free_packet_slice": paths[0].psi(tau),
-                "coherent_state_slice": paths[1].psi(tau)}
-    return values, {"slice_dynamics": (header, rows)}, elements
+    elements = {"free_packet_slice": psi1, "coherent_state_slice": psi2}
+    return {"slice_dynamics": (header, rows)}, elements
 
 
-def run_circle_topology(p: dict, rng: np.random.Generator):
+def run_circle_topology(p: dict, rng: np.random.Generator, tally: Tally):
     """Circle recovery from the periodic Sobolev kernel."""
     spec = KernelSpec.periodic_sobolev(p["truncation"])
 
-    wrap = chordal_distance([0.0], [2.0 * math.pi], spec)
+    tally.worst("wraparound_distance", chordal_distance([0.0], [2.0 * math.pi], spec))
 
-    count = p["separation_count"]
-    seps = np.linspace(math.pi / count, math.pi, count)
+    # Distances from 0 must rise strictly with the separation, from above 0.
+    seps = np.linspace(math.pi / p["separation_count"], math.pi, p["separation_count"])
     distances = [chordal_distance([0.0], [float(s)], spec) for s in seps]
-    monotonicity = 0
-    if distances[0] <= 0.0:
-        monotonicity += 1
-    for a, b in zip(distances, distances[1:]):
-        if b <= a:
-            monotonicity += 1
+    for a, b in zip([0.0, *distances], distances):
+        tally.count("monotonicity_violations", not b > a)
 
     # The truncated sum converges to the closed form like 1/(pi N); the
     # cross-check therefore runs at a cutoff large enough for 1e-6.
     k0 = sobolev_kernel_value(0.0, p["coth_truncation"])
-    coth_dev = abs(k0 - sobolev_coth_reference())
+    tally.worst("coth_deviation", abs(k0 - sobolev_coth_reference()))
 
     rows = [[float(s), d, sobolev_kernel_value(float(s), p["truncation"])]
             for s, d in zip(seps, distances)]
-    values = {"wraparound_distance": wrap, "monotonicity_violations": monotonicity,
-              "coth_deviation": coth_dev}
     header = ["separation", "chordal_distance", "kernel_value"]
-    return values, {"circle_topology": (header, rows)}, None
+    return {"circle_topology": (header, rows)}, None
 
 
 def _random_convergent_element(rng: np.random.Generator, dim: int) -> SpaceElement:
@@ -588,12 +554,11 @@ def _random_parity_element(rng: np.random.Generator, odd: bool) -> SpaceElement:
     return element
 
 
-def run_oracle_check(p: dict, rng: np.random.Generator):
+def run_oracle_check(p: dict, rng: np.random.Generator, tally: Tally):
     """Quadrature vs closed form, divergence trigger, and Krein sign structure."""
     rows = []
 
     # Closed form vs quadrature on random convergent pairs in dims 1 and 2.
-    oracle_dev = 0.0
     pair_count = p["pair_count"]
     dumped = {}
     for i in range(pair_count):
@@ -609,7 +574,7 @@ def run_oracle_check(p: dict, rng: np.random.Generator):
                 break
         quad = quadrature_inner_product(e1, e2, spec, QuadratureGrid(nodes, p["quad_radius"]))
         rel = abs(closed - quad) / abs(closed)
-        oracle_dev = max(oracle_dev, rel)
+        tally.worst("oracle_relative_deviation", rel)
         rows.append(["oracle", i, rel])
         if i < 2:
             dumped[f"oracle_pair_{i}_left"] = e1
@@ -617,12 +582,9 @@ def run_oracle_check(p: dict, rng: np.random.Generator):
 
     # DivergentNorm fires exactly when the combined form loses definiteness.
     toy = KernelSpec.gaussian(0, 1)
-    mismatches = 0
     for i in range(p["boundary_cases"]):
-        if i % 2 == 0:
-            a = rng.uniform(2.2, 6.0)  # min eigenvalue a - 2 > 0: convergent
-        else:
-            a = rng.uniform(0.3, 2.0)  # min eigenvalue a - 2 <= 0: divergent
+        # The min eigenvalue a - 2 is > 0 (convergent) for even i, <= 0 for odd i.
+        a = rng.uniform(2.2, 6.0) if i % 2 == 0 else rng.uniform(0.3, 2.0)
         a = complex(a, rng.uniform(-0.5, 0.5))
         e = SpaceElement.gaussian([[a]], lin=[rng.normal(scale=0.3)])
         predicted_divergent = combined_form_min_eigenvalue(e, e, toy) <= PD_TOLERANCE
@@ -631,52 +593,42 @@ def run_oracle_check(p: dict, rng: np.random.Generator):
             raised = False
         except DivergentNormError:
             raised = True
-        if raised != predicted_divergent:
-            mismatches += 1
+        tally.count("divergence_mismatches", raised != predicted_divergent)
         rows.append(["divergence", i, float(raised != predicted_divergent)])
 
     # Krein sign structure of the time toy, plus the two reference values.
-    sign_violations = 0
-    cross = 0.0
     samples = p["parity_samples"]
     for i in range(samples):
         even = _random_parity_element(rng, odd=False)
         odd = _random_parity_element(rng, odd=True)
         even_norm, odd_norm = norm_squared(even, toy), norm_squared(odd, toy)
-        if even_norm <= 0.0:
-            sign_violations += 1
-        if odd_norm >= 0.0:
-            sign_violations += 1
+        tally.count("parity_sign_violations", not even_norm > 0.0)
+        tally.count("parity_sign_violations", not odd_norm < 0.0)
         pairing = abs(inner_product(even, odd, toy))
         scale = math.sqrt(abs(even_norm) * abs(odd_norm))
-        cross = max(cross, pairing / max(scale, 1e-30))
-    rows.append(["parity", samples, float(sign_violations)])
+        tally.worst("parity_cross_term", pairing / max(scale, 1e-30))
+    rows.append(["parity", samples, float(tally.values["parity_sign_violations"])])
 
-    even_toy = SpaceElement.gaussian([[4.0]])
-    odd_toy = SpaceElement.gaussian([[4.0]], poly=(1,))
-    toy_dev = max(abs(norm_squared(even_toy, toy) - math.pi / math.sqrt(2.0)),
-                  abs(norm_squared(odd_toy, toy) + math.pi / (8.0 * math.sqrt(2.0))))
-
-    values = {"oracle_relative_deviation": oracle_dev,
-              "divergence_mismatches": mismatches,
-              "parity_sign_violations": sign_violations,
-              "parity_cross_term": cross, "toy_value_deviation": toy_dev}
-    return values, {"oracle_check": (["section", "case", "value"], rows)}, dumped
+    for poly, value in (((), math.pi / math.sqrt(2.0)), ((1,), -math.pi / (8.0 * math.sqrt(2.0)))):
+        toy_element = SpaceElement.gaussian([[4.0]], poly=poly)
+        tally.worst("toy_value_deviation", abs(norm_squared(toy_element, toy) - value))
+    return {"oracle_check": (["section", "case", "value"], rows)}, dumped
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its runner, CLI help and default configuration.
 
-    ``run(parameters, rng)`` returns the measured value of each tolerance
-    name, the tables to write as ``{stem: (header, rows)}``, and the
-    elements that ``--dump-elements`` writes (None when it writes none).
+    ``run(parameters, rng, tally)`` hands each per-case value of every
+    tolerance name to the :class:`Tally`, and returns the tables to write as
+    ``{stem: (header, rows)}`` and the elements that ``--dump-elements``
+    writes (None when it writes none).
     The defaults are the parameter schema that ``ExperimentConfig.build``
     checks overrides against; a default wrapped in :class:`Limited` also
     declares the values it admits.
     """
 
-    run: Callable[[dict, np.random.Generator], tuple[dict, dict, dict | None]]
+    run: Callable[[dict, np.random.Generator, Tally], tuple[dict, dict | None]]
     help: str
     parameters: dict
     tolerances: dict[str, float]
@@ -710,7 +662,8 @@ EXPERIMENTS = {
         "elements, with span-operator commutativity checks.",
         {"group_samples": _at_least(1, 100), "point_count": _at_least(1, 10),
          "max_rapidity": 2.0, "point_scale": 0.5,
-         "commutativity_samples": _at_least(1, 1000), "extra_elements": []},
+         # A third of the commutativity samples goes to each group kind.
+         "commutativity_samples": _at_least(3, 1000), "extra_elements": []},
         {"gram_deviation": 1e-11, "control_margin": 0.0, "commutativity_deviation": 0.0,
          "composition_deviation": 1e-12}),
     "slice-dynamics": Experiment(
@@ -753,14 +706,19 @@ EXPERIMENTS = {
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment from a seeded generator; write its tables, elements and report."""
     t0 = time.perf_counter()
-    values, tables, elements = EXPERIMENTS[cfg.name].run(
-        cfg.parameters, np.random.default_rng(cfg.seed))
+    tally = Tally()
+    tables, elements = EXPERIMENTS[cfg.name].run(
+        cfg.parameters, np.random.default_rng(cfg.seed), tally)
+    if set(tally.values) != set(cfg.tolerances):
+        raise RuntimeError(f"{cfg.name} measured {sorted(tally.values)}, "
+                           f"but its tolerances are {sorted(cfg.tolerances)}")
     csvs = []
     for stem, (header, rows) in tables.items():
         csvs += _emit(cfg, stem, header, rows)
     if elements is not None:
         _dump_elements(cfg, cfg.name.replace("-", "_"), elements)
-    measurements = [Measurement(name, values[name], tol) for name, tol in cfg.tolerances.items()]
+    measurements = [Measurement(name, tally.values[name], tol)
+                    for name, tol in cfg.tolerances.items()]
     report = ExperimentReport(cfg.name, cfg.seed, measurements,
                               time.perf_counter() - t0, csv_files=csvs)
     write_report(cfg, report)

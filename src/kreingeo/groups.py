@@ -191,6 +191,10 @@ class DiffeoMap:
     def __post_init__(self):
         if len(self.exprs) != len(self.domain):
             raise ValueError("need one expression per coordinate")
+        for lo, hi in self.domain:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"domain interval [{lo}, {hi}] must be finite, "
+                                 "with its upper bound above its lower bound")
         for e in self.exprs:
             if max_var_index(e) > len(self.domain):
                 raise ValueError("expression uses a variable beyond the map dimension")

@@ -68,11 +68,6 @@ def min_real_eigenvalues(quad) -> np.ndarray:
     return np.linalg.eigvalsh(_real_parts(quad))[..., 0]
 
 
-def min_real_eigenvalue(quad: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized real part of ``quad``."""
-    return float(min_real_eigenvalues(quad))
-
-
 def require_convergent(quad) -> None:
     """Raise DivergentNormError for the first form of a (B, n, n) stack that diverges.
 

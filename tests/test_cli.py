@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from kreingeo.cli import main
 from kreingeo.experiments import ExperimentConfig, run_experiment
-from kreingeo.groups import GalileoElement, PoincareElement
+from kreingeo.groups import PoincareElement
 
 
 @pytest.fixture
@@ -256,6 +256,7 @@ def test_malformed_structured_parameter_gives_exit_two(runner, tmp_path, experim
     ("oracle-check", {"quad_nodes_2d": 2}),
     ("slice-dynamics", {"metrics": []}),
     ("norm-convergence", {"scales": [0.0]}),
+    ("gram-invariance", {"commutativity_samples": 2}),
 ])
 def test_out_of_range_parameter_gives_exit_two(runner, tmp_path, experiment, parameters):
     path = tmp_path / "cfg.json"
@@ -289,9 +290,27 @@ def test_build_decodes_parameters_to_their_default_types():
     assert isinstance(cfg.parameters["tau_grid"], np.ndarray)
     assert np.array_equal(cfg.parameters["tau_grid"], [0.0, 0.5, 1.0])
     cfg = ExperimentConfig.build("gram-invariance", parameters={
-        "extra_elements": [{"boost": [0.6, 0, 0]}, {"galileo": {"v": [1, 0, 0]}}]})
-    boost, galileo = cfg.parameters["extra_elements"]
-    assert isinstance(boost, PoincareElement) and isinstance(galileo, GalileoElement)
+        "extra_elements": [{"boost": [0.6, 0, 0]}, {"translation": [1, 0, 0, 0]}]})
+    assert all(isinstance(g, PoincareElement) for g in cfg.parameters["extra_elements"])
+    with pytest.raises(ValueError, match=r"extra_elements: \[1\] is a GalileoElement"):
+        ExperimentConfig.build("gram-invariance", parameters={
+            "extra_elements": [{"boost": [0.6, 0, 0]}, {"galileo": {"v": [1, 0, 0]}}]})
+
+
+@pytest.mark.parametrize("record", [
+    {"galileo": {"v": [1, 0, 0]}},
+    {"diffeo": {"maps": ["0.9*u1"], "domain": [[-1, 1]]}},
+])
+def test_gram_invariance_takes_poincare_extra_elements_only(runner, tmp_path, record):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": {"extra_elements": [{"boost": [0.6, 0, 0]}, record]}}),
+                    encoding="utf-8")
+    result = runner.invoke(main, ["gram-invariance", "--config", str(path),
+                                  "--out", str(tmp_path / "results")])
+    assert result.exit_code == 2
+    assert "config error: parameters.extra_elements: [1] is a " in result.output
+    assert "not a Poincare element" in result.output
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -257,6 +257,13 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec("harmonic", frequency=-1.0)
 
 
+@pytest.mark.parametrize("frequency", [1.3, -1.0, float("nan")])
+def test_free_hamiltonian_rejects_a_frequency(frequency):
+    with pytest.raises(ValueError, match="frequency"):
+        HamiltonianSpec("free", 1.0, frequency=frequency)
+    assert HamiltonianSpec("free", 1.0, frequency=0.0).frequency == 0.0
+
+
 def test_hamiltonian_offset_enters_linearly():
     psi = SpaceElement.gaussian([[1.0]])
     h0 = HamiltonianSpec("free", 1.0)

@@ -1,0 +1,96 @@
+"""The tally that reduces per-case values, and NaN cases end to end.
+
+A NaN per-case value must fail its measurement: a running ``max`` started
+at 0.0 drops it, and a count of ``x <= 0.0`` does not count it.
+"""
+
+import dataclasses
+import json
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from kreingeo import experiments
+from kreingeo.cli import main
+from kreingeo.experiments import EXPERIMENTS, ExperimentConfig, Tally, run_experiment
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, 1.0, 3.0, 2.0],
+    [1.0, 3.0, math.nan, 2.0],
+    [1.0, 3.0, 2.0, math.nan],
+])
+def test_worst_keeps_a_nan_wherever_it_comes(values):
+    tally = Tally()
+    for v in values:
+        tally.worst("deviation", v)
+    assert math.isnan(tally.values["deviation"])
+
+
+def test_worst_keeps_the_largest_value_and_count_adds_failed_cases():
+    tally = Tally()
+    for v in [-3.0, -1.0, -2.0]:
+        tally.worst("margin", v)
+    for failed in [False, True, False, True]:
+        tally.count("violations", failed)
+    tally.count("clean", False)
+    assert tally.values == {"margin": -1.0, "violations": 2, "clean": 0}
+
+
+def _nan_on_call(function, call: int):
+    """``function`` with its result on the ``call``-th call replaced by NaN."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        value = function(*args, **kwargs)
+        return math.nan if len(calls) == call else value
+    return patched
+
+
+def _invoke(tmp_path, name: str, parameters: dict):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": parameters}), encoding="utf-8")
+    out = tmp_path / "results"
+    result = CliRunner().invoke(main, [name, "--config", str(path), "--out", str(out)])
+    report = json.loads((out / f"{name}_report.json").read_text(encoding="utf-8"))
+    return result, {m["name"]: m for m in report["measurements"]}
+
+
+def test_a_nan_gram_deviation_fails_gram_invariance(tmp_path, monkeypatch):
+    # The second of five random samples; the negative control is the sixth call.
+    monkeypatch.setattr(experiments, "check_gram_invariance",
+                        _nan_on_call(experiments.check_gram_invariance, 2))
+    result, measured = _invoke(tmp_path, "gram-invariance",
+                               {"group_samples": 5, "commutativity_samples": 6})
+    assert result.exit_code == 1, result.output
+    assert "gram-invariance: FAIL" in result.output
+    assert math.isnan(measured["gram_deviation"]["value"])
+    assert not measured["gram_deviation"]["passed"]
+    assert measured["control_margin"]["passed"]
+
+
+def test_a_nan_distance_fails_circle_topology(tmp_path, monkeypatch):
+    # Call 1 is the wraparound distance; call 4 is the third separation.
+    monkeypatch.setattr(experiments, "chordal_distance",
+                        _nan_on_call(experiments.chordal_distance, 4))
+    result, measured = _invoke(tmp_path, "circle-topology", {"truncation": 200})
+    assert result.exit_code == 1, result.output
+    assert "circle-topology: FAIL" in result.output
+    # The NaN distance fails against both of its neighbours.
+    assert measured["monotonicity_violations"]["value"] == 2.0
+    assert measured["wraparound_distance"]["passed"]
+
+
+def test_run_experiment_rejects_a_runner_that_misses_a_measurement(tmp_path, monkeypatch):
+    def partial_run(parameters, rng, tally):
+        tally.worst("wraparound_distance", 0.0)
+        tally.count("monotonicity_violations", False)
+        return {}, None
+    experiment = dataclasses.replace(EXPERIMENTS["circle-topology"], run=partial_run)
+    monkeypatch.setitem(EXPERIMENTS, "circle-topology", experiment)
+    cfg = ExperimentConfig.build("circle-topology", out_dir=tmp_path / "results")
+    with pytest.raises(RuntimeError, match="coth_deviation"):
+        run_experiment(cfg)
+    assert not (tmp_path / "results").exists()

@@ -241,6 +241,14 @@ def test_diffeo_domain_checks():
         DiffeoMap.from_strings(["u1 + 5"], [(-1.0, 1.0)])
 
 
+# A RuntimeWarning on the way is an error under the pytest settings.
+@pytest.mark.parametrize("bounds", [(0.0, 0.0), (1.0, 0.0), (math.nan, 1.0), (0.0, math.nan),
+                                    (-math.inf, 1.0), (0.0, math.inf)])
+def test_diffeo_rejects_an_empty_or_infinite_domain_interval(bounds):
+    with pytest.raises(ValueError, match="domain interval .* must be finite, with its upper"):
+        DiffeoMap.from_strings(["u1", "u2"], [(-1.0, 1.0), bounds])
+
+
 def test_gram_invariance_poincare():
     rng = np.random.default_rng(14)
     pts = rng.normal(scale=0.5, size=(10, 4))

@@ -14,7 +14,7 @@ from kreingeo.algebra import norm_squared
 from kreingeo.elements import SpaceElement
 from kreingeo.errors import DivergentNormError, IntegralOverflowError
 from kreingeo.kernels import KernelSpec
-from kreingeo.polygauss import PolyGaussian, gaussian_moments, min_real_eigenvalue
+from kreingeo.polygauss import PolyGaussian, gaussian_moments, min_real_eigenvalues
 
 
 def grid_values(pg, pts):
@@ -85,7 +85,8 @@ def test_divergence_raises_with_eigenvalue():
 
 def test_min_real_eigenvalue_helper():
     m = np.array([[3.0, 1.0], [1.0, 3.0]]) + 1j * np.ones((2, 2))
-    assert min_real_eigenvalue(m) == pytest.approx(2.0)
+    assert min_real_eigenvalues(m) == pytest.approx(2.0)
+    assert min_real_eigenvalues(np.stack([m, 2.0 * m])) == pytest.approx([2.0, 4.0])
 
 
 def test_zero_polynomial_integrates_to_zero():
