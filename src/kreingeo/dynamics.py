@@ -155,10 +155,10 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in ("free", "harmonic"):
             raise ValueError("Hamiltonian kind must be 'free' or 'harmonic'")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.frequency < 0:
-            raise ValueError("frequency must be nonnegative")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not 0 <= self.frequency < math.inf:
+            raise ValueError("frequency must be nonnegative and finite")
         if self.kind == "free" and self.frequency != 0:
             raise ValueError("a free Hamiltonian has no frequency")
 

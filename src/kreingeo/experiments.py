@@ -257,8 +257,16 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def write_json_mirror(path: Path, header: list[str], rows: list[list]) -> None:
     records = [{h: (v if isinstance(v, (int, str)) else float(v))
                 for h, v in zip(header, row)} for row in rows]
-    path.write_text(json.dumps(records, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    _write_json(path, records)
+
+
+def _write_json(path: Path, value) -> None:
+    """Strict JSON with sorted keys: each NaN or infinity is written as null."""
+    try:
+        text = json.dumps(value, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:  # a non-finite float: a round trip turns each into None
+        return _write_json(path, json.loads(json.dumps(value), parse_constant=lambda _: None))
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _emit(cfg: ExperimentConfig, stem: str, header: list[str],
@@ -274,16 +282,14 @@ def _dump_elements(cfg: ExperimentConfig, stem: str, elements: dict[str, SpaceEl
     if not cfg.dump_elements:
         return
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {name: el.to_dict() for name, el in elements.items()}
-    (cfg.out_dir / f"{stem}_elements.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(cfg.out_dir / f"{stem}_elements.json",
+                {name: el.to_dict() for name, el in elements.items()})
 
 
 def write_report(cfg: ExperimentConfig, report: ExperimentReport) -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / f"{cfg.name}_report.json"
-    path.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    _write_json(path, report.as_dict())
     return path
 
 
@@ -409,7 +415,7 @@ def _commutativity_and_composition(rng: np.random.Generator, samples: int, tally
         tally.worst("commutativity_deviation", _commutation_gap(g, pts))
         h = random_poincare(rng)
         composed = extend_to_span(g @ h, pts)
-        sequential = extend_to_span(g, np.array([apply_point(h, q) for q in pts]))
+        sequential = extend_to_span(g, apply_point(h, pts))
         tally.worst("composition_deviation",
                     np.max(np.abs(composed.targets - sequential.targets)))
     for _ in range(per_kind):
@@ -756,7 +762,8 @@ def emit_report(results_dir) -> str:
         ]
         for m in measurements:
             status = "ok" if m["passed"] else "**FAIL**"
-            lines.append(f"| {m['name']} | {m['value']:.6e} | {m['tolerance']:.6e} | {status} |")
+            value = math.nan if m["value"] is None else m["value"]  # a NaN is written as null
+            lines.append(f"| {m['name']} | {value:.6e} | {m['tolerance']:.6e} | {status} |")
         sections.append("\n".join(lines))
     header = [
         f"# Experiment report - overall {'PASS' if overall else 'FAIL'}",

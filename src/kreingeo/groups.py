@@ -1,11 +1,11 @@
 """Space-time group elements and their linear extensions to delta spans.
 
 Poincare and Galileo elements are affine maps of coordinates (ordering
-(x1, x2, x3, t), timelike coordinate last); expression-based
-diffeomorphisms act on coordinate boxes.  Any point map extends uniquely
-to the span of delta functionals over a finite point set by
-delta_a -> delta_{g(a)}, and the extension commutes with the embedding by
-construction.
+(x1, x2, x3, t), timelike coordinate last); expression-based diffeomorphisms
+act on coordinate boxes.  Maps act on a point (m,) or, in one call, on a
+stack of points (n, m).  Any point map extends uniquely to the span of delta
+functionals over a finite point set by delta_a -> delta_{g(a)}, and the
+extension commutes with the embedding by construction.
 """
 
 import math
@@ -17,13 +17,16 @@ from .elements import DeltaJetTerm, SpaceElement
 from .errors import NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
 from .geometry import central_difference_jacobian, require_immersion
-from .kernels import GAUSSIAN, KernelSpec, gram_matrix, signed_square_distances
+from .kernels import GAUSSIAN, KernelSpec, gram_matrix
 
 _ORTHO_TOL = 1e-12
+_ETA4 = np.diag([1.0, 1.0, 1.0, -1.0])
+_EYE3 = np.eye(3)
+_ETA4.flags.writeable = _EYE3.flags.writeable = False
 
 
 def eta4() -> np.ndarray:
-    return np.diag([1.0, 1.0, 1.0, -1.0])
+    return _ETA4.copy()
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -36,7 +39,7 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
         raise ValueError("rotation axis and angle must be finite")
     k = axis / norm
     K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+    return _EYE3 + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,11 @@ class AffineMap:
         return self.offset.shape[0]
 
     def apply(self, x) -> np.ndarray:
+        """Image of a point (m,) or, row by row, of a stack (n, m): the same bits either way."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != self.offset.shape:
+        if x.ndim > 2 or x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
-        return self.matrix @ x + self.offset
+        return np.einsum("ij,...j->...i", self.matrix, x) + self.offset
 
     def _like(self, matrix, offset) -> "AffineMap":
         """A map of this map's class, checked by that class's structure test."""
@@ -85,6 +89,23 @@ class AffineMap:
         return self._like(inv, -inv @ self.offset)
 
 
+def _boost_matrix(velocity) -> np.ndarray:
+    """Lorentz matrix of the pure boost with velocity |v| < 1 (units with c = 1)."""
+    v = np.atleast_1d(np.asarray(velocity, dtype=float))
+    if v.shape != (3,):
+        raise ValueError("boost velocity must be a 3-vector")
+    b2 = float(v @ v)
+    if not b2 < 1.0:
+        raise ValueError("boost speed must be finite and below 1")
+    L = np.eye(4)
+    if b2 > 0.0:
+        gamma = 1.0 / math.sqrt(1.0 - b2)
+        L[:3, :3] += (gamma - 1.0) * np.outer(v, v) / b2
+        L[:3, 3] = L[3, :3] = -gamma * v
+        L[3, 3] = gamma
+    return L
+
+
 class PoincareElement(AffineMap):
     """Lorentz matrix plus space-time translation, coordinates (x, t)."""
 
@@ -93,8 +114,7 @@ class PoincareElement(AffineMap):
         L = self.matrix
         if L.shape != (4, 4):
             raise ValueError("Poincare element needs a 4x4 matrix and a 4-vector")
-        eta = eta4()
-        if np.max(np.abs(L.T @ eta @ L - eta)) > _ORTHO_TOL:
+        if np.max(np.abs(L.T @ _ETA4 @ L - _ETA4)) > _ORTHO_TOL:
             raise ValueError("matrix does not preserve the flat space-time metric")
 
     @property
@@ -118,20 +138,7 @@ class PoincareElement(AffineMap):
     @classmethod
     def boost(cls, velocity) -> "PoincareElement":
         """Pure boost with |velocity| < 1 (units with c = 1)."""
-        v = np.atleast_1d(np.asarray(velocity, dtype=float))
-        if v.shape != (3,):
-            raise ValueError("boost velocity must be a 3-vector")
-        b2 = float(v @ v)
-        if not b2 < 1.0:
-            raise ValueError("boost speed must be finite and below 1")
-        L = np.eye(4)
-        if b2 > 0.0:
-            gamma = 1.0 / math.sqrt(1.0 - b2)
-            L[:3, :3] += (gamma - 1.0) * np.outer(v, v) / b2
-            L[:3, 3] = -gamma * v
-            L[3, :3] = -gamma * v
-            L[3, 3] = gamma
-        return cls(L, np.zeros(4))
+        return cls(_boost_matrix(velocity), np.zeros(4))
 
     def rapidity(self) -> float:
         """Boost rapidity read off the time-time component."""
@@ -157,7 +164,7 @@ class GalileoElement(AffineMap):
         M = self.matrix
         if M.shape != (4, 4) or M[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
             raise ValueError("Galileo element needs the block matrix [[A, v], [0, 1]]")
-        if np.max(np.abs(M[:3, :3].T @ M[:3, :3] - np.eye(3))) > _ORTHO_TOL:
+        if np.max(np.abs(M[:3, :3].T @ M[:3, :3] - _EYE3)) > _ORTHO_TOL:
             raise ValueError("rotation part must be orthogonal")
 
     @classmethod
@@ -238,12 +245,14 @@ GroupElement = AffineMap | DiffeoMap
 
 
 def apply_point(g: GroupElement, x) -> np.ndarray:
-    """Action of a group element on a finite coordinate point."""
+    """Action of a group element on a finite point (m,) or stack of points (n, m)."""
     if not isinstance(g, (AffineMap, DiffeoMap)):
         raise TypeError(f"cannot apply object of type {type(g).__name__} to points")
-    x = np.asarray(x, dtype=float)
-    if not all(map(math.isfinite, x.ravel().tolist())):
-        raise ValueError(f"point {x.tolist()} is not finite")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():  # name the first point with a non-finite coordinate
+        raise ValueError(f"point {x[~np.isfinite(x).all(axis=-1)][0].tolist()} is not finite")
+    if isinstance(g, DiffeoMap) and x.ndim == 2:
+        return np.array([g.apply(p) for p in x]).reshape(x.shape)
     return g.apply(x)
 
 
@@ -277,19 +286,18 @@ class DeltaSpanOperator:
             raise ValueError("sources and targets must be matching nonempty point lists")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("sources and targets must be finite")
-        sq = signed_square_distances(src.T, src.T, np.ones(src.shape[1]))
-        diffs = np.sqrt(sq)
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= 1e-12:
-            raise ValueError("source points must be pairwise distinct")
-        # Uniqueness of the extension rests on linear independence of the
-        # basis deltas; checked through the conditioning of their Gram
-        # matrix under the positive-definite unit Gaussian kernel.
-        smallest = float(np.linalg.eigvalsh(np.exp(-0.5 * sq))[0])
-        if smallest <= 1e-12:
-            raise ValueError(
-                f"source deltas are numerically linearly dependent "
-                f"(Gram eigenvalue {smallest:.3e})")
+        if src.shape[0] > 1:  # one delta is its own basis: its Gram matrix is [[1]]
+            sq = np.square(src[:, None, :] - src[None, :, :]).sum(axis=-1)
+            if np.sqrt(sq[~np.eye(len(sq), dtype=bool)]).min() <= 1e-12:
+                raise ValueError("source points must be pairwise distinct")
+            # Uniqueness of the extension rests on linear independence of the
+            # basis deltas; checked through the conditioning of their Gram
+            # matrix under the positive-definite unit Gaussian kernel.
+            smallest = float(np.linalg.eigvalsh(np.exp(-0.5 * sq))[0])
+            if smallest <= 1e-12:
+                raise ValueError(
+                    f"source deltas are numerically linearly dependent "
+                    f"(Gram eigenvalue {smallest:.3e})")
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)
 
@@ -318,8 +326,7 @@ def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    targets = np.array([apply_point(g, p) for p in pts])
-    return DeltaSpanOperator(pts, targets)
+    return DeltaSpanOperator(pts, apply_point(g, pts))
 
 
 def act_on_element(op, e: SpaceElement) -> SpaceElement:
@@ -351,9 +358,8 @@ def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float:
         raise ValueError(
             f"incompatible pair: map acts on dimension {getattr(g, 'dim', '?')}, "
             f"kernel lives on dimension {spec.dim}")
-    mapped = np.array([apply_point(g, p) for p in pts])
     before = gram_matrix(pts, spec)
-    after = gram_matrix(mapped, spec)
+    after = gram_matrix(apply_point(g, pts), spec)
     return float(np.max(np.abs(after - before)))
 
 
@@ -370,7 +376,7 @@ def transform_gram(op: DeltaSpanOperator, gram: np.ndarray, g: GroupElement,
         raise ValueError("Gram matrix shape does not match the operator span")
     if op.dim != spec.dim:
         raise ValueError("operator and kernel dimensions differ")
-    expected = np.array([apply_point(g, p) for p in op.sources])
+    expected = apply_point(g, op.sources)
     if np.max(np.abs(expected - op.targets)) > 1e-9:
         raise ValueError("operator does not realize the given group element")
     return gram_matrix(op.targets, spec)
@@ -432,8 +438,10 @@ def random_poincare(rng: np.random.Generator, max_rapidity: float = 2.0,
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     velocity = math.tanh(rap) * direction
-    element = PoincareElement.rotation(axis, angle) @ PoincareElement.boost(velocity)
-    return PoincareElement(element.lorentz, rng.normal(scale=translation_scale, size=4))
+    rotation = np.eye(4)
+    rotation[:3, :3] = rotation_matrix(axis, angle)
+    return PoincareElement(rotation @ _boost_matrix(velocity),
+                           rng.normal(scale=translation_scale, size=4))
 
 
 def random_galileo(rng: np.random.Generator) -> GalileoElement:

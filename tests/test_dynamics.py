@@ -257,6 +257,15 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec("harmonic", frequency=-1.0)
 
 
+@pytest.mark.parametrize("kind", ["free", "harmonic"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hamiltonian_spec_rejects_non_finite_mass_and_frequency(kind, bad):
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        HamiltonianSpec(kind, mass=bad)
+    with pytest.raises(ValueError, match="frequency"):
+        HamiltonianSpec(kind, 1.0, frequency=bad)
+
+
 @pytest.mark.parametrize("frequency", [1.3, -1.0, float("nan")])
 def test_free_hamiltonian_rejects_a_frequency(frequency):
     with pytest.raises(ValueError, match="frequency"):

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 from kreingeo import experiments
 from kreingeo.cli import main
-from kreingeo.experiments import EXPERIMENTS, ExperimentConfig, Tally, run_experiment
+from kreingeo.experiments import (EXPERIMENTS, ExperimentConfig, Tally, emit_report,
+                                  run_experiment)
 
 
 @pytest.mark.parametrize("values", [
@@ -49,12 +50,21 @@ def _nan_on_call(function, call: int):
     return patched
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _strict_json(path):
+    """The JSON file at ``path``, refusing the NaN and Infinity tokens that strict JSON lacks."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+
 def _invoke(tmp_path, name: str, parameters: dict):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"parameters": parameters}), encoding="utf-8")
     out = tmp_path / "results"
     result = CliRunner().invoke(main, [name, "--config", str(path), "--out", str(out)])
-    report = json.loads((out / f"{name}_report.json").read_text(encoding="utf-8"))
+    report = _strict_json(out / f"{name}_report.json")
     return result, {m["name"]: m for m in report["measurements"]}
 
 
@@ -66,9 +76,21 @@ def test_a_nan_gram_deviation_fails_gram_invariance(tmp_path, monkeypatch):
                                {"group_samples": 5, "commutativity_samples": 6})
     assert result.exit_code == 1, result.output
     assert "gram-invariance: FAIL" in result.output
-    assert math.isnan(measured["gram_deviation"]["value"])
+    # Strict JSON has no NaN: the report and the mirror hold null in its place.
+    assert measured["gram_deviation"]["value"] is None
     assert not measured["gram_deviation"]["passed"]
     assert measured["control_margin"]["passed"]
+    mirror = _strict_json(tmp_path / "results" / "gram_invariance.json")
+    assert [row["gram_deviation"] is None for row in mirror] == [False, True, False, False, False]
+    assert "| gram_deviation | nan | 1.000000e-11 | **FAIL** |" in emit_report(tmp_path / "results")
+
+
+def test_json_mirror_writes_each_non_finite_value_as_null(tmp_path):
+    path = tmp_path / "mirror.json"
+    experiments.write_json_mirror(path, ["i", "x"], [[0, math.nan], [1, math.inf],
+                                                     [2, -math.inf], [3, 1.5]])
+    assert _strict_json(path) == [{"i": 0, "x": None}, {"i": 1, "x": None},
+                                  {"i": 2, "x": None}, {"i": 3, "x": 1.5}]
 
 
 def test_a_nan_distance_fails_circle_topology(tmp_path, monkeypatch):

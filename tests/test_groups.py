@@ -7,9 +7,10 @@ from kreingeo.algebra import inner_product
 from kreingeo.elements import SpaceElement
 from kreingeo.errors import NonAffineMapError
 from kreingeo.geometry import embed_delta
+from kreingeo import groups
 from kreingeo.groups import (AffineMap, DeltaSpanOperator, DiffeoMap, GalileoElement,
                              PoincareElement, act_on_element, apply_point,
-                             check_gram_invariance, extend_to_span,
+                             check_gram_invariance, eta4, extend_to_span,
                              parse_group_element, random_galileo, random_poincare,
                              transform_gram)
 from kreingeo.kernels import KernelSpec, gram_matrix
@@ -374,3 +375,102 @@ def test_group_composition_consistency():
         assert np.allclose(composed.velocity, A1 @ v2 + v1, rtol=0, atol=1e-14)
         assert np.allclose(composed.shift, A1 @ b2 + v1 * c2 + b1, rtol=0, atol=1e-14)
         assert composed.time_shift == pytest.approx(c1 + c2, rel=0, abs=1e-14)
+
+
+# Point stacks: one call maps every row, with the bits of the row mapped alone.
+
+def _affine_maps():
+    rng = np.random.default_rng(17)
+    return [random_poincare(rng), random_galileo(rng),
+            AffineMap(rng.normal(size=(3, 3)), rng.normal(size=3))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_a_stack_maps_each_row_as_alone(n):
+    rng = np.random.default_rng(n)
+    for g in _affine_maps():
+        stack = rng.normal(scale=2.0, size=(n, g.dim))
+        rows = np.array([g.apply(p) for p in stack])
+        assert np.array_equal(g.apply(stack), rows)
+        assert np.array_equal(apply_point(g, stack), rows)
+        assert np.array_equal(extend_to_span(g, stack).targets, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_stack_with_one_non_finite_row_is_rejected(bad):
+    diffeo = DiffeoMap.from_strings(["u1", "u2"], [(-1.0, 1.0), (-1.0, 1.0)])
+    for g in _affine_maps() + [diffeo]:
+        stack = np.zeros((5, g.dim))
+        stack[3, -1] = bad
+        with pytest.raises(ValueError, match="not finite") as info:
+            apply_point(g, stack)
+        assert str(info.value) == f"point {stack[3].tolist()} is not finite"
+
+
+def test_a_stack_of_the_wrong_shape_is_rejected():
+    diffeo = DiffeoMap.from_strings(["u1", "u2"], [(-1.0, 1.0), (-1.0, 1.0)])
+    for g in _affine_maps() + [diffeo]:
+        for points in (np.zeros((4, g.dim + 1)), np.zeros((2, 3, g.dim))):
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                apply_point(g, points)
+
+
+def test_a_diffeo_maps_a_stack_point_by_point():
+    diffeo = DiffeoMap.from_strings(["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
+                                    [(-1.0, 1.0), (-1.0, 1.0)])
+    pts = np.random.default_rng(5).uniform(-0.95, 0.95, size=(7, 2))
+    op = extend_to_span(diffeo, pts)
+    assert np.array_equal(op.targets, np.array([diffeo.apply(p) for p in pts]))
+    assert np.array_equal(apply_point(diffeo, pts), op.targets)
+
+
+# Each group element is built, and checked, once.
+
+def test_random_poincare_is_rotation_times_boost_bit_for_bit():
+    rng, replay = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(50):
+        g = random_poincare(rng, max_rapidity=3.0, translation_scale=2.0)
+        # The draws of random_poincare, in its order.
+        axis = replay.normal(size=3)
+        while np.linalg.norm(axis) < 1e-6:
+            axis = replay.normal(size=3)
+        angle = replay.uniform(0.0, 2.0 * math.pi)
+        rap = replay.uniform(0.0, 3.0)
+        direction = replay.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        velocity = math.tanh(rap) * direction
+        expected = PoincareElement.rotation(axis, angle) @ PoincareElement.boost(velocity)
+        assert np.array_equal(g.lorentz, expected.lorentz)
+        assert np.array_equal(g.offset, replay.normal(scale=2.0, size=4))
+
+
+@pytest.mark.parametrize("velocity", [[math.nan, 0, 0], [1.0, 0, 0], [0.6, 0.8, 0.0],
+                                      [0.0, 0.0, -1.5], [math.inf, 0, 0]])
+def test_boost_rejects_nan_and_speeds_of_one_or_more(velocity):
+    with pytest.raises(ValueError, match="boost speed must be finite and below 1"):
+        PoincareElement.boost(velocity)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_one_delta_span_rejects_non_finite_points(bad):
+    point = np.array([[0.0, bad, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="sources and targets must be finite"):
+        DeltaSpanOperator(point, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="sources and targets must be finite"):
+        DeltaSpanOperator(np.zeros((1, 4)), point)
+
+
+def test_coincident_sources_are_rejected():
+    pts = np.array([[0.5, 0.0, 1.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        DeltaSpanOperator(pts, pts)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        extend_to_span(PoincareElement.boost([0.3, 0.0, 0.0]), pts[[0, 2]])
+
+
+def test_eta4_is_a_fresh_copy_of_a_read_only_constant():
+    eta = eta4()
+    eta[3, 3] = 5.0
+    assert np.array_equal(eta4(), np.diag([1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        groups._ETA4[0, 0] = 2.0
