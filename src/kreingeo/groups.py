@@ -25,10 +25,6 @@ _EYE3 = np.eye(3)
 _ETA4.flags.writeable = _EYE3.flags.writeable = False
 
 
-def eta4() -> np.ndarray:
-    return _ETA4.copy()
-
-
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a 3-axis."""
     axis = np.asarray(axis, dtype=float)

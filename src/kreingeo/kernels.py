@@ -11,7 +11,8 @@ Two kernel families are supported:
 
 ``cross_kernel`` is the one place each formula is written.  ``kernel_eval`` is its
 1x1 case and ``gram_matrix`` its blocked upper triangle, mirrored into the lower one:
-no (N, N, d) or (N, N, T) array, and O(GRAM_BLOCK_ROWS * N) scratch.
+no (N, N, d) or (N, N, T) array, and O(GRAM_BLOCK_ROWS * N) scratch.  The quadrature
+oracle reads it through ``gram_matrix`` too, for the one-axis kernel matrix of each sign.
 """
 
 import math

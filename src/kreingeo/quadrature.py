@@ -5,10 +5,12 @@ grids, entirely independently of the Gaussian matrix algebra.  The Gaussian
 kernel factorizes over axes, k(x, y) = prod_i exp(-s^2 sigma_i (x_i - y_i)^2 / 2),
 so the integral is <F, (K_1 x ... x K_d) conj(G)> with one weighted n x n
 kernel matrix per axis, applied one axis at a time.  That is O(d n^(d+1))
-work where the double-grid integrand would cost O(n^(2d)).  Dimensions 1
-and 2 contract the element values on the full tensor grid; above dimension
-2 the elements must factorize over coordinates (diagonal quadratic forms),
-and each term pair is a product of one-dimensional contractions.
+work where the double-grid integrand would cost O(n^(2d)).  Each matrix is
+the one-axis ``gram_matrix`` times the weights, one real product per axis on
+complex values viewed as float pairs.  Dimensions 1 and 2 contract the values
+on the full tensor grid; above dimension 2 the elements must factorize over
+coordinates (diagonal quadratic forms), each axis's product takes the factors
+of all terms at once, and each term pair is a product of 1-d contractions.
 
 The Gauss--Legendre rule of each node count is built once per process by
 :func:`gauss_legendre` and kept read-only in a bounded cache:
@@ -32,7 +34,7 @@ import numpy as np
 
 from .elements import SpaceElement
 from .errors import DivergentNormError
-from .kernels import GAUSSIAN, KernelSpec
+from .kernels import GAUSSIAN, KernelSpec, gram_matrix
 
 # Integrand mass on the outermost node shell, relative to the global peak,
 # above which the integral is declared non-convergent.
@@ -145,18 +147,23 @@ def _check_boundary(values: np.ndarray, boundary_mask: np.ndarray):
 
 
 def _apply_kernel(kernels: list, values: np.ndarray) -> np.ndarray:
-    """(K_1 x ... x K_d) values: axis i of ``values`` contracted with kernels[i]."""
+    """(K_1 x ... x K_d) values, axis i by kernels[i], as real products on float pairs."""
     for axis, kernel in enumerate(kernels):
-        values = np.moveaxis(np.tensordot(kernel, values, axes=([1], [axis])), 0, axis)
+        front = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+        out = (kernel @ front.reshape(len(kernel), -1).view(float)).view(complex)
+        values = np.moveaxis(out.reshape(front.shape), 0, axis)
     return values
 
 
-def _contract(f: np.ndarray, g: np.ndarray, kernels: list, weights: np.ndarray) -> complex:
-    """sum_x w(x) f(x) (K g)(x), after the decay check on both contracted sides."""
-    edge = np.pad(np.zeros(tuple(n - 2 for n in f.shape), dtype=bool), 1, constant_values=True)
-    kg = _apply_kernel(kernels, g)
+def _edge(shape: tuple) -> np.ndarray:
+    """Mask of the outermost node shell of a tensor grid."""
+    return np.pad(np.zeros(tuple(n - 2 for n in shape), dtype=bool), 1, constant_values=True)
+
+
+def _contract(f, kg, g, kf, weights, edge) -> complex:
+    """sum_x w(x) f(x) (K g)(x), after the decay check on f (K g), then on g (K f)."""
     _check_boundary(f * kg, edge)
-    _check_boundary(g * _apply_kernel(kernels, f), edge)
+    _check_boundary(g * kf, edge)
     return complex(np.sum(weights * f * kg))
 
 
@@ -179,11 +186,13 @@ def quadrature_inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpe
     """Numerical double integral of the kernel form; oracle for inner_product.
 
     Converges to the closed form as the node count grows.  The kernel is
-    applied one axis at a time as a weighted n x n matrix, built once per
-    call for each sign of the signature in use.  Dimensions one and two
-    contract the values of the elements on the n^dim tensor grid; higher
-    dimensions require axis-separable elements (diagonal quadratic forms)
-    and multiply one-dimensional contractions per term pair and axis.
+    applied one axis at a time as a weighted n x n matrix, built with
+    ``gram_matrix`` once per call for each sign of the signature in use and
+    applied in real arithmetic.  Dimensions one and two contract the values
+    of the elements on the n^dim tensor grid; higher dimensions require
+    axis-separable elements (diagonal quadratic forms), apply each axis's
+    kernel once to the stacked factors of all terms, and multiply
+    one-dimensional contractions per term pair and axis.  A zero element gives 0.
     Raises DivergentNormError when either contracted side of the integrand,
     F (K conj G) or conj G (K F), does not decay at the boundary of the box.
     """
@@ -195,26 +204,35 @@ def quadrature_inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpe
         raise ValueError("quadrature oracle supports Gaussian-term elements only")
     if spec.dim > 2 and not (_is_axis_separable(e1) and _is_axis_separable(e2)):
         raise ValueError("above dimension 2 the oracle requires axis-separable elements")
+    if not (e1.gaussians and e2.gaussians):
+        return 0j
     grid = grid or QuadratureGrid()
     nodes, weights = grid.points()
-    d = nodes[:, None] - nodes[None, :]
     signs = spec.signature.signs().tolist()
-    by_sign = {sign: np.exp(-0.5 * spec.scale ** 2 * sign * d * d) * weights for sign in set(signs)}
+    by_sign = {s: gram_matrix(nodes[:, None], KernelSpec.gaussian(int(s > 0), int(s < 0), spec.scale))
+               for s in set(signs)}  # unnormalized: the prefactor is applied once, at the end
+    for kernel in by_sign.values():
+        kernel *= weights  # column j times w_j, in place
     kernels = [by_sign[sign] for sign in signs]
     if spec.dim <= 2:
         axes = np.meshgrid(*([nodes] * spec.dim), indexing="ij")
         pts = np.stack([x.reshape(-1) for x in axes], axis=-1)
         shape = axes[0].shape
-        value = _contract(e1.evaluate(pts).reshape(shape), np.conj(e2.evaluate(pts)).reshape(shape),
-                          kernels, functools.reduce(np.multiply.outer, [weights] * spec.dim))
+        f, g = e1.evaluate(pts).reshape(shape), np.conj(e2.evaluate(pts)).reshape(shape)
+        value = _contract(f, _apply_kernel(kernels, g), g, _apply_kernel(kernels, f),
+                          functools.reduce(np.multiply.outer, [weights] * spec.dim), _edge(shape))
     else:
-        value = 0.0 + 0.0j
-        for t1 in e1.gaussians:
-            for t2 in e2.gaussians:
+        # Per axis: columns f_1 .. f_T1 of e1's terms, then conj g_1 .. conj g_T2 of e2's.
+        columns = [np.stack([_axis_values(t, axis, nodes) for t in e1.gaussians]
+                            + [np.conj(_axis_values(t, axis, nodes)) for t in e2.gaussians], axis=1)
+                   for axis in range(spec.dim)]
+        applied = [_apply_kernel([k], c) for k, c in zip(kernels, columns)]
+        edge, value = _edge(nodes.shape), 0j
+        for i, t1 in enumerate(e1.gaussians):
+            for j, t2 in enumerate(e2.gaussians, len(e1.gaussians)):
                 prod = t1.coeff * np.conj(t2.coeff)
-                for axis, kernel in enumerate(kernels):
-                    f, g = _axis_values(t1, axis, nodes), np.conj(_axis_values(t2, axis, nodes))
-                    prod *= _contract(f, g, [kernel], weights)
+                for fg, kfg in zip(columns, applied):
+                    prod *= _contract(fg[:, i], kfg[:, j], fg[:, j], kfg[:, i], weights, edge)
                 value += prod
     return spec.prefactor() * value
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,58 @@ def test_growth_along_either_contracted_side_detected():
     for e1, e2 in ((narrow, wide), (wide, narrow)):
         with pytest.raises(DivergentNormError):
             quadrature_inner_product(e1, e2, spec, QuadratureGrid(48, 8.0))
+
+
+def test_diverging_pair_and_axis_is_the_one_reported():
+    # Under signature (2, 1) the pair (narrow, other) converges, while (wide, other) grows
+    # along the time axis 2 only, on both contracted sides and with different edge/peak
+    # ratios, so the message also tells which side was checked first.
+    spec = KernelSpec.gaussian(2, 1)
+    narrow = SpaceElement.gaussian(np.diag([1.0, 1.0, 4.0]))
+    wide = SpaceElement.gaussian(np.diag([1.0, 1.0, 1.95]), coeff=0.5)
+    e1, e2 = narrow + wide, SpaceElement.gaussian(np.diag([1.0, 1.0, 2.1]))
+    grid = QuadratureGrid(48, 8.0)
+    nodes, weights = grid.points()
+    edge = np.zeros(len(nodes), dtype=bool)
+    edge[[0, -1]] = True
+    diverging = {}
+    for i, t1 in enumerate(e1.gaussians):
+        for j, t2 in enumerate(e2.gaussians):
+            for axis, sign in enumerate(spec.signature.signs()):
+                kernel = np.exp(-0.5 * sign * np.subtract.outer(nodes, nodes) ** 2) * weights
+                f = quadrature._axis_values(t1, axis, nodes)
+                g = np.conj(quadrature._axis_values(t2, axis, nodes))
+                try:
+                    quadrature._contract(f, kernel @ g, g, kernel @ f, weights, edge)
+                except DivergentNormError as err:
+                    diverging[i, j, axis] = str(err)
+    assert list(diverging) == [(1, 0, 2)]
+    with pytest.raises(DivergentNormError) as raised:
+        quadrature_inner_product(e1, e2, spec, grid)
+    assert str(raised.value) == diverging[1, 0, 2]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_element_gives_exactly_zero(dim):
+    spec = KernelSpec.gaussian(dim, 0)
+    zero, f = SpaceElement.zero(dim), unit_l2_gaussian(dim)
+    for e1, e2 in ((zero, f), (f, zero), (zero, zero)):
+        assert quadrature_inner_product(e1, e2, spec, QuadratureGrid(16, 8.0)) == 0
+
+
+def test_kernel_is_never_copied_to_complex():
+    # At 960 nodes the weighted kernel is 8 n^2 bytes; a complex copy would add 16 n^2.
+    n = nodes_for_scale(20.0)
+    spec = KernelSpec.gaussian(3, 0, scale=20.0, normalized=True)
+    f, grid = unit_l2_gaussian(3), QuadratureGrid(n, 8.0)
+    grid.points()
+    tracemalloc.start()
+    try:
+        quadrature_inner_product(f, f, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n * n
 
 
 def test_rejects_delta_terms():
