@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .algebra import (
     even_odd_split,
     inner_product,
+    inner_products,
     l2_inner_product,
     norm_squared,
 )
@@ -85,7 +86,7 @@ __all__ = [
     "KernelSpec", "Signature", "kernel_eval", "gram_matrix",
     # elements and algebra
     "SpaceElement", "GaussianTerm", "DeltaJetTerm",
-    "inner_product", "norm_squared", "l2_inner_product", "even_odd_split",
+    "inner_product", "inner_products", "norm_squared", "l2_inner_product", "even_odd_split",
     # quadrature oracle
     "QuadratureGrid", "quadrature_inner_product",
     # geometry

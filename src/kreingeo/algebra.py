@@ -18,16 +18,22 @@ times the moment of the joined monomials and jet orders under the mean
 [[W, -W K_IJ], [-K_JI W, K_JI W K_IJ - K_JJ]].  With J empty this is a
 Gaussian integral, and with I empty a kernel derivative.  Gaussian
 variables come first, and K is unchanged when x and y swap, so Gaussian x
-jet pairs of both argument orders share one stack.  An inner product is
-three stacked passes of the moment engine of polygauss, in chunks of
-PAIR_CHUNK pairs: Gaussian pairs, Gaussian x jet pairs, then jet pairs.
+jet pairs of both argument orders share one stack.  A batch of element
+pairs (inner_products; inner_product is a batch of one) is three stacked
+passes of the moment engine of polygauss, in chunks of PAIR_CHUNK term
+pairs: Gaussian pairs, Gaussian x jet pairs, then jet pairs.  A pass is a
+list of blocks, each a left and a right term range and the place of their
+pairs in the (n1 + d1) x (n2 + d2) term-pair matrix of their element pair,
+which is summed in the order of a loop over its terms.
 
 A pair whose Q_II has a real part with an eigenvalue <= PD_TOLERANCE raises
-DivergentNormError.  Pairs are checked in the order Gaussian pairs,
-Gaussian x jet row by row, then jet x Gaussian.  That is the first divergent
-pair a term-by-term sum would meet: a Gaussian x jet pair of an earlier row
-diverges only if S + Re(A1) is not positive definite, and that block sits
-inside each Gaussian pair form of the row.
+DivergentNormError.  Within an element pair, pairs are checked in the order
+Gaussian pairs, Gaussian x jet row by row, then jet x Gaussian.  That is the
+first divergent pair a term-by-term sum would meet: a Gaussian x jet pair of
+an earlier row diverges only if S + Re(A1) is not positive definite, and
+that block sits inside each Gaussian pair form of the row.  A batch that
+raises is rerun one element pair at a time, so it raises the error that a
+loop of inner_product calls meets first.
 """
 
 import functools
@@ -37,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import GaussianTerm, SpaceElement
+from .errors import DivergentNormError, IntegralOverflowError
 from .kernels import GAUSSIAN, KernelSpec, Signature
 from .polygauss import gaussian_factors, min_real_eigenvalues, require_convergent, require_finite, stacked_moments
 
@@ -76,20 +83,25 @@ def _jet_side(terms, conj: bool = False) -> _Side | None:
                  [t.orders for t in terms])
 
 
-def _passes(e1: SpaceElement, e2: SpaceElement) -> list:
-    """The three passes of (e1, e2), each its number of Gaussian sides and
-    its (left, right) blocks, Gaussian sides first; empty sides are None."""
+def _passes(e1: SpaceElement, e2: SpaceElement, origin: int = 0) -> list:
+    """The nonempty blocks of (e1, e2) in each pass, Gaussian sides first.  A block (left, right,
+    origin, strides) puts pair (i, j) of its term ranges at origin + i * strides[0] + j * strides[1]
+    of the flat term-pair matrices; that of (e1, e2) starts at ``origin``."""
     g1, g2 = _gaussian_side(e1.gaussians), _gaussian_side(e2.gaussians, conj=True)
     d1, d2 = _jet_side(e1.deltas), _jet_side(e2.deltas, conj=True)
-    return [(2, [(g1, g2)]), (1, [(g1, d2), (g2, d1)]), (0, [(d1, d2)])]
+    n1, n2, width = len(e1.gaussians), len(e2.gaussians), len(e2.gaussians) + len(e2.deltas)
+    passes = [[(g1, g2, origin, (width, 1))],
+              [(g1, d2, origin + n2, (width, 1)), (g2, d1, origin + n1 * width, (1, width))],
+              [(d1, d2, origin + n1 * width + n2, (width, 1))]]
+    return [[block for block in blocks if None not in block[:2]] for blocks in passes]
 
 
 def _stacked(blocks: list) -> tuple:
     """The left and the right sides of the blocks of a pass, each stacked in turn."""
     if len(blocks) == 1:
-        return blocks[0]
+        return blocks[0][:2]
     stacked = []
-    for sides in zip(*blocks):
+    for sides in zip(*(block[:2] for block in blocks)):
         coeff, quad, point, keys = zip(*sides)
         stacked.append(_Side(np.concatenate(coeff), None if quad[0] is None else np.concatenate(quad),
                              np.concatenate(point), [k for side_keys in keys for k in side_keys]))
@@ -114,62 +126,65 @@ def _patterns(keys) -> tuple[list, np.ndarray]:
     return list(ids), pid
 
 
-def _pair_layout(left: _Side, right: _Side, join=operator.add):
-    """Coefficient products of all pairs, flat in row-major order, and the
-    joined patterns of the pairs with their ids."""
-    coeff = (left.coeff[:, None] * right.coeff[None, :]).reshape(-1)
+@functools.lru_cache(maxsize=256)
+def _block_index(n: int, m: int, strides: tuple) -> np.ndarray:
+    """Rows, columns and destination offsets of the n x m pairs of a block, row-major; read-only."""
+    r, c = np.divmod(np.arange(n * m), m)
+    index = np.stack([r, c, r * strides[0] + c * strides[1]])
+    index.flags.writeable = False
+    return index
+
+
+def _pair_layout(blocks: list, join=operator.add):
+    """Stacked sides, joined patterns, and the pairs with a nonzero coefficient product, row-major block by
+    block, PAIR_CHUNK at a time: destinations, left and right rows, coefficients and joined pattern ids."""
+    sides = left, right = _stacked(blocks)
+    index, i, j = [], 0, 0
+    for block_left, block_right, origin, strides in blocks:
+        n, m = len(block_left.coeff), len(block_right.coeff)
+        r, c, d = _block_index(n, m, strides)
+        index.append((r + i, c + j, d + origin))
+        i, j = i + n, j + m
+    rows, cols, dest = index[0] if len(index) == 1 else map(np.concatenate, zip(*index))
+    coeff = left.coeff[rows] * right.coeff[cols]
+    live = np.flatnonzero(coeff)
+    if live.size < coeff.size:
+        rows, cols, dest, coeff = rows[live], cols[live], dest[live], coeff[live]
     polys1, pid1 = _patterns(left.keys)
     polys2, pid2 = _patterns(right.keys)
-    patterns = [join(a, b) for a in polys1 for b in polys2]
-    return coeff, patterns, (pid1[:, None] * len(polys2) + pid2[None, :]).reshape(-1)
+    pairs = dest, rows, cols, coeff, pid1[rows] * len(polys2) + pid2[cols]
+    chunks = ([a[k:k + PAIR_CHUNK] for a in pairs] for k in range(0, live.size, PAIR_CHUNK))
+    return sides, [join(a, b) for a in polys1 for b in polys2], chunks
 
 
-def _live_chunks(coeff: np.ndarray, width: int):
-    """Row and column indices of the pairs with a nonzero coefficient
-    product, with their flat keys, PAIR_CHUNK pairs at a time."""
-    live = np.flatnonzero(coeff)
-    for start in range(0, live.size, PAIR_CHUNK):
-        keys = live[start:start + PAIR_CHUNK]
-        yield keys, *np.divmod(keys, width)
-
-
-def _pair_stacks(gaussians: int, blocks: list, sides: tuple, kernel: tuple):
-    """The pairs inside the blocks of a pass, on the grid of their stacked
-    ``sides`` in row-major order, PAIR_CHUNK at a time, without those whose
-    coefficient product is zero.  Each chunk is (keys, coeff, quad, lin, z,
-    (patterns, ids)): flat grid indices, coefficient products, forms Q_II,
-    l_I and z_J (None when empty), and each pair's joined pattern id."""
-    coeff, patterns, pattern_id = _pair_layout(*sides)
-    grid, i, j = coeff.reshape(len(sides[0].coeff), -1), 0, 0
-    for left, right in blocks[:-1]:
-        i, j = i + len(left.coeff), j + len(right.coeff)
-        grid[:i, j:] = grid[i:, :j] = 0.0
+def _pair_stacks(gaussians: int, blocks: list, kernel: tuple):
+    """The pairs inside the blocks of a pass, PAIR_CHUNK at a time, without
+    those whose coefficient product is zero.  Each chunk is (dest, coeff,
+    quad, lin, z, (patterns, ids)): destinations, coefficient products, forms
+    Q_II, l_I and z_J (None when empty), and each pair's joined pattern id."""
+    sides, patterns, chunks = _pair_layout(blocks)
     p = sides[0].point.shape[1]
-    for keys, *rows in _live_chunks(coeff, len(sides[1].coeff)):
-        quad = np.repeat(kernel[0][None], keys.size, axis=0)
+    for dest, *rows, coeff, ids in chunks:
+        quad = np.repeat(kernel[0][None], dest.size, axis=0)
         for k in range(gaussians):
             quad[:, k * p:(k + 1) * p, k * p:(k + 1) * p] += sides[k].quad[rows[k]]
         points = [side.point[r] for side, r in zip(sides, rows)]
         lin = np.concatenate(points[:gaussians], axis=1) if gaussians else None
         z = np.concatenate(points[gaussians:], axis=1) if gaussians < 2 else None
-        yield keys, coeff[keys], quad, lin, z, (patterns, pattern_id[keys])
+        yield dest, coeff, quad, lin, z, (patterns, ids)
 
 
-def _pair_values(gaussians: int, blocks: list, out: list, spec: KernelSpec) -> None:
-    """Write the pair integrals of each (left, right) block of a pass to ``out``.
+def _pair_values(gaussians: int, blocks: list, values: np.ndarray, spec: KernelSpec) -> None:
+    """Write the pair integrals of the blocks of a pass to their entries of ``values``.
 
     Raises DivergentNormError for the first pair, block by block and row by
     row, whose form Q_II does not have a positive definite real part, and
     IntegralOverflowError for the first value beyond the float range.
     """
-    live = [k for k, block in enumerate(blocks) if None not in block]
-    if not live:
+    if not blocks:
         return
-    blocks = [blocks[k] for k in live]
     _, n_ij, n_ji, k_jj = kernel = _kernel_blocks(spec, gaussians)
-    left, right = sides = _stacked(blocks)
-    values = np.zeros((len(left.coeff), len(right.coeff)), dtype=complex)
-    for keys, coeff, quad, lin, z, (patterns, ids) in _pair_stacks(gaussians, blocks, sides, kernel):
+    for dest, coeff, quad, lin, z, (patterns, ids) in _pair_stacks(gaussians, blocks, kernel):
         if z is None:  # nothing pinned: a Gaussian integral
             require_convergent(quad)
             base, mu, sigma = gaussian_factors(quad, lin)
@@ -177,7 +192,7 @@ def _pair_values(gaussians: int, blocks: list, out: list, spec: KernelSpec) -> N
             kz = z @ k_jj
             const = -0.5 * (kz * z).sum(axis=1)
             if lin is None:  # nothing integrated: kernel derivatives at z_J
-                base, mu, sigma = np.exp(const), -kz, np.broadcast_to(-k_jj, (keys.size, *k_jj.shape))
+                base, mu, sigma = np.exp(const), -kz, np.broadcast_to(-k_jj, (dest.size, *k_jj.shape))
             else:  # the Schur complement step over z_I
                 require_convergent(quad)
                 base, m, w = gaussian_factors(quad, lin + z @ n_ji, const)
@@ -186,11 +201,7 @@ def _pair_values(gaussians: int, blocks: list, out: list, spec: KernelSpec) -> N
                 sigma = np.concatenate([np.concatenate([w, cross], axis=2),
                                         np.concatenate([cross.swapaxes(1, 2), n_ji @ cross - k_jj], axis=2)], axis=1)
         moments = stacked_moments(patterns, ids, mu, sigma)
-        values.flat[keys] = require_finite(base * (coeff * moments), "a pair integral")
-    i = j = 0
-    for k in live:
-        n, m = out[k].shape
-        out[k][...], i, j = values[i:i + n, j:j + m], i + n, j + m
+        values[dest] = require_finite(base * (coeff * moments), "a pair integral")
 
 
 def _ordered_sum(values: np.ndarray) -> complex:
@@ -201,28 +212,52 @@ def _ordered_sum(values: np.ndarray) -> complex:
     return total
 
 
-def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> complex:
-    """Sesquilinear kernel inner product of two elements (Gaussian family)."""
+def _batch(pairs: list, spec: KernelSpec) -> list:
+    """inner_products without the rerun that orders its errors."""
     if spec.family != GAUSSIAN:
         raise ValueError("closed-form inner products are defined for the gaussian family")
-    if e1.dim != spec.dim or e2.dim != spec.dim:
-        raise ValueError(f"element dimensions ({e1.dim}, {e2.dim}) do not match kernel dimension {spec.dim}")
-    # Term pairs in the order of a loop over the terms of e1, then of e2.
-    n1, n2 = len(e1.gaussians), len(e2.gaussians)
-    pairs = np.zeros((n1 + len(e1.deltas), n2 + len(e2.deltas)), dtype=complex)
-    out = [[pairs[:n1, :n2]], [pairs[:n1, n2:], pairs[n1:, :n2].T], [pairs[n1:, n2:]]]
+    passes, bounds = ([], [], []), [0]
+    for e1, e2 in pairs:
+        if e1.dim != spec.dim or e2.dim != spec.dim:
+            raise ValueError(f"element dimensions ({e1.dim}, {e2.dim}) do not match kernel dimension {spec.dim}")
+        for blocks, new in zip(passes, _passes(e1, e2, bounds[-1])):
+            blocks.extend(new)
+        bounds.append(bounds[-1] + (len(e1.gaussians) + len(e1.deltas)) * (len(e2.gaussians) + len(e2.deltas)))
+    values = np.zeros(bounds[-1], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports overflow
-        for (gaussians, blocks), block_out in zip(_passes(e1, e2), out):
-            _pair_values(gaussians, blocks, block_out, spec)
-    return spec.prefactor() * _ordered_sum(pairs)
+        for gaussians, blocks in zip((2, 1, 0), passes):
+            _pair_values(gaussians, blocks, values, spec)
+    return [spec.prefactor() * _ordered_sum(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def inner_products(pairs, spec: KernelSpec) -> np.ndarray:
+    """inner_product(e1, e2, spec) of each (e1, e2) of ``pairs``, from one batch whose errors
+    are those that a loop of inner_product calls raises first."""
+    pairs = list(pairs)
+    try:
+        return np.array(_batch(pairs, spec), dtype=complex)
+    except (DivergentNormError, IntegralOverflowError, ValueError) as err:
+        error = err
+    for pair in pairs if len(pairs) > 1 else ():  # outside the handler: one error in the traceback
+        _batch([pair], spec)
+    raise error
+
+
+def inner_product(e1: SpaceElement, e2: SpaceElement, spec: KernelSpec) -> complex:
+    """Sesquilinear kernel inner product of two elements (Gaussian family)."""
+    return _batch([(e1, e2)], spec)[0]
+
+
+def real_norm_squared(value: complex) -> float:
+    """Real part of a squared norm (f, f); ValueError unless the imaginary part is negligible."""
+    if abs(value.imag) > IMAG_TOLERANCE * abs(value) + 1e-14:
+        raise ValueError(f"squared norm has a non-negligible imaginary part: {value}")
+    return float(value.real)
 
 
 def norm_squared(e: SpaceElement, spec: KernelSpec) -> float:
     """Real squared norm (f, f); may be negative for indefinite signatures."""
-    value = inner_product(e, e, spec)
-    if abs(value.imag) > IMAG_TOLERANCE * abs(value) + 1e-14:
-        raise ValueError(f"squared norm has a non-negligible imaginary part: {value}")
-    return value.real
+    return real_norm_squared(inner_product(e, e, spec))
 
 
 def l2_inner_product(e1: SpaceElement, e2: SpaceElement) -> complex:
@@ -238,14 +273,15 @@ def l2_inner_product(e1: SpaceElement, e2: SpaceElement) -> complex:
     left, right = _gaussian_side(e1.gaussians), _gaussian_side(e2.gaussians, conj=True)
     if left is None or right is None:
         return 0j
-    coeff, patterns, pattern_id = _pair_layout(left, right, lambda a, b: tuple(map(operator.add, a, b)))
-    values = np.zeros(coeff.size, dtype=complex)
-    for keys, i, j in _live_chunks(coeff, len(right.coeff)):
+    block = (left, right, 0, (len(right.coeff), 1))
+    _, patterns, chunks = _pair_layout([block], lambda a, b: tuple(map(operator.add, a, b)))
+    values = np.zeros(len(left.coeff) * len(right.coeff), dtype=complex)
+    for dest, i, j, coeff, ids in chunks:
         quad = left.quad[i] + right.quad[j]
         require_convergent(quad)
         base, mu, sigma = gaussian_factors(quad, left.point[i] + right.point[j])
-        moments = stacked_moments(patterns, pattern_id[keys], mu, sigma)
-        values[keys] = require_finite(base * (coeff[keys] * moments), "an L2 pair integral")
+        moments = stacked_moments(patterns, ids, mu, sigma)
+        values[dest] = require_finite(base * (coeff * moments), "an L2 pair integral")
     return _ordered_sum(values)
 
 
@@ -300,9 +336,7 @@ def combined_form_min_eigenvalue(e1: SpaceElement, e2: SpaceElement,
     pairs whose coefficient product is zero; jet pairs have none.
     """
     worst = np.inf
-    for gaussians, blocks in _passes(e1, e2)[:2]:
-        blocks = [block for block in blocks if None not in block]
-        kernel = _kernel_blocks(spec, gaussians)
-        for _, _, quad, *_ in _pair_stacks(gaussians, blocks, _stacked(blocks), kernel) if blocks else ():
+    for gaussians, blocks in zip((2, 1), _passes(e1, e2)):
+        for _, _, quad, *_ in _pair_stacks(gaussians, blocks, _kernel_blocks(spec, gaussians)) if blocks else ():
             worst = min(worst, float(min_real_eigenvalues(quad).min()))
     return float(worst)

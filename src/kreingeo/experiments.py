@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import combined_form_min_eigenvalue, inner_product, norm_squared
+from .algebra import combined_form_min_eigenvalue, inner_product, inner_products, norm_squared, real_norm_squared
 from .catalog import builtin
 from .dynamics import (SLICE_METRICS, PerturbedPath, TimeSlicedElement, coherent_state, free_packet,
                        galileo_on_slice, path_velocity, pde_residual_fd,
@@ -604,15 +604,18 @@ def run_oracle_check(p: dict, rng: np.random.Generator, tally: Tally):
 
     # Krein sign structure of the time toy, plus the two reference values.
     samples = p["parity_samples"]
-    for i in range(samples):
+    pairs = []
+    for _ in range(samples):
         even = _random_parity_element(rng, odd=False)
         odd = _random_parity_element(rng, odd=True)
-        even_norm, odd_norm = norm_squared(even, toy), norm_squared(odd, toy)
+        pairs += [(even, even), (odd, odd), (even, odd)]
+    values = inner_products(pairs, toy).tolist()
+    for even_norm, odd_norm, cross in zip(values[0::3], values[1::3], values[2::3]):
+        even_norm, odd_norm = real_norm_squared(even_norm), real_norm_squared(odd_norm)
         tally.count("parity_sign_violations", not even_norm > 0.0)
         tally.count("parity_sign_violations", not odd_norm < 0.0)
-        pairing = abs(inner_product(even, odd, toy))
         scale = math.sqrt(abs(even_norm) * abs(odd_norm))
-        tally.worst("parity_cross_term", pairing / max(scale, 1e-30))
+        tally.worst("parity_cross_term", abs(cross) / max(scale, 1e-30))
     rows.append(["parity", samples, float(tally.values["parity_sign_violations"])])
 
     for poly, value in (((), math.pi / math.sqrt(2.0)), ((1,), -math.pi / (8.0 * math.sqrt(2.0)))):

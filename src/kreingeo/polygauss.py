@@ -104,7 +104,8 @@ def sqrt_det(quad: np.ndarray) -> np.ndarray:
         pivot = pivots[k] = a[:, k, k]
         if k + 1 < n:
             a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k] / pivot[:, None])[:, :, None] * a[:, None, k, k + 1:]
-    return np.prod(np.sqrt(pivots), axis=0)
+    # Row by row: np.prod over a stack of one rounds otherwise than over many.
+    return functools.reduce(np.multiply, np.sqrt(pivots))
 
 
 def require_finite(values, what: str):

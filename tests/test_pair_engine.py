@@ -1,13 +1,16 @@
-"""The batched pair engine behind inner_product.
+"""The batched pair engine behind inner_product and inner_products.
 
 Properties are checked on random mixtures: conjugate symmetry,
-sesquilinearity, and agreement of one stacked batch of B pairs with B
-batches of one pair each (the sum over single-term pieces).  Delta-jet
-pairs and the L2 product are checked against term-by-term PolyGaussian
-oracles, and dim-1 jet pairs against a 50-digit mpmath reference that
-integrates the hand-differentiated kernel.  Also checked: the elimination
-determinant against the eigenvalue branch, the divergence decision at the
-edge of PD_TOLERANCE, and the number of stacked passes of a mixed product.
+sesquilinearity, agreement of one stacked batch of B pairs with B
+batches of one pair each (the sum over single-term pieces), agreement of
+one inner_products batch of element pairs with a loop of inner_product
+calls, values and errors alike, and the Krein parity signs of the time
+toy.  Delta-jet pairs and the L2 product are checked against term-by-term
+PolyGaussian oracles, and dim-1 jet pairs against a 50-digit mpmath
+reference that integrates the hand-differentiated kernel.  Also checked:
+the elimination determinant against the eigenvalue branch and its
+independence of the stack, the divergence decision at the edge of
+PD_TOLERANCE, and the number of stacked passes of a mixed product.
 """
 
 import math
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kreingeo.algebra as algebra
-from kreingeo.algebra import combined_form_min_eigenvalue, inner_product, l2_inner_product, norm_squared
+from kreingeo.algebra import (combined_form_min_eigenvalue, inner_product, inner_products, l2_inner_product,
+                              norm_squared, real_norm_squared)
 from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.errors import DivergentNormError, IntegralOverflowError
 from kreingeo.kernels import KernelSpec
@@ -318,6 +322,15 @@ def test_elimination_sqrt_det_is_the_eigenvalue_branch(matrices, ratio):
     assert abs(sqrt_det(quad)[0] - want) <= 1e-12 * abs(want)
 
 
+def test_sqrt_det_of_a_form_does_not_depend_on_its_stack():
+    # A pair's value must not depend on the pairs it is stacked with.
+    rng = np.random.default_rng(2)
+    m = rng.normal(size=(6, 4, 4))
+    quad = m @ m.swapaxes(1, 2) + np.eye(4) + 0.3j * (m + m.swapaxes(1, 2))
+    whole = sqrt_det(quad)
+    assert all(sqrt_det(quad[k:k + 1])[0] == whole[k] for k in range(len(quad)))
+
+
 def threshold_pair(kind, spec, min_eig):
     """A pair whose one combined form has smallest real-part eigenvalue ``min_eig``
     on the negative axis, with the other axes far from the threshold."""
@@ -419,8 +432,15 @@ def test_chunks_across_the_blocks_of_a_pass_match_a_single_batch(monkeypatch):
 
     e1, e2 = mixture(), mixture()
     whole = inner_product(e1, e2, spec)
+    # Term-pair counts 9, 4, 9 (Gaussian), 12, 4, 12 (Gaussian x jet) and
+    # 4, 1, 4 (jet): chunks of 3 also straddle element pairs.
+    e3 = SpaceElement(2, e1.gaussians[:2], e1.deltas[:1])
+    batch = [(e1, e2), (e3, e3), (e2, e1)]
+    wholes = [inner_product(a, b, spec) for a, b in batch]
     monkeypatch.setattr(algebra, "PAIR_CHUNK", 3)
     assert abs(inner_product(e1, e2, spec) - whole) <= 1e-13 * abs(whole)
+    for got, want in zip(inner_products(batch, spec), wholes):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def kernel_u_derivative(n, u, s):
@@ -465,3 +485,104 @@ def test_jet_pairs_match_a_50_digit_reference(signature, quad, lin, poly):
             want = complex(mp.fsum(pairs))
             scale = float(mp.fsum(abs(v) for v in pairs))
             assert abs(inner_product(e1, e2, spec) - want) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# Batches of element pairs: values and errors against a loop of inner_product
+
+def monomial_free(e):
+    return not e.deltas and not any(any(t.poly) for t in e.gaussians)
+
+
+@st.composite
+def pair_batches(draw):
+    """Pairs drawn, with repeats, from a few mixtures, an element with no
+    terms and one whose coefficients are all zero."""
+    signature = draw(st.sampled_from(JET_SIGNATURES))
+    elements = draw(st.lists(mixtures(signature), min_size=1, max_size=4))
+    elements += [SpaceElement(sum(signature), ()), elements[0] * 0.0]
+    index = st.integers(0, len(elements) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=8))
+    return KernelSpec.gaussian(*signature), [(elements[i], elements[j]) for i, j in pairs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair_batches())
+def test_batch_of_element_pairs_matches_the_loop(case):
+    spec, pairs = case
+    values = inner_products(pairs, spec)
+    assert values.shape == (len(pairs),) and values.dtype == complex
+    for value, (e1, e2) in zip(values, pairs):
+        want = inner_product(e1, e2, spec)
+        if monomial_free(e1) and monomial_free(e2):
+            assert value == want
+        else:
+            assert abs(value - want) <= 1e-13 * piecewise(e1, e2, spec)[1]
+
+
+def test_empty_batch_and_shared_elements():
+    assert inner_products([], LINE).shape == (0,)
+    e = SpaceElement.gaussian([[1.5]], lin=[0.3]) + SpaceElement.delta([0.2], orders=(1,))
+    assert list(inner_products([(e, e)] * 3, LINE)) == [inner_product(e, e, LINE)] * 3
+
+
+def raised(call):
+    with pytest.raises((DivergentNormError, IntegralOverflowError, ValueError)) as err:
+        call()
+    return type(err.value), str(err.value), getattr(err.value, "min_eigenvalue", None)
+
+
+def loop(pairs, spec):
+    return [inner_product(e1, e2, spec) for e1, e2 in pairs]
+
+
+def test_batch_raises_the_error_a_loop_meets_first():
+    # Pair 0 has no Gaussian pairs and diverges in the Gaussian x jet pass
+    # (a - 1 < 0); pair 1 diverges in the Gaussian pass (a - 2 < 0), which
+    # the batch meets first.
+    pairs = [(SpaceElement.gaussian([[0.8]]), SpaceElement.delta([0.0])),
+             (SpaceElement.gaussian([[1.5]]), SpaceElement.gaussian([[1.5]]))]
+    first = raised(lambda: loop(pairs, TOY))
+    assert raised(lambda: inner_products(pairs, TOY)) == first
+    assert first[0] is DivergentNormError and first[2] == combined_form_min_eigenvalue(*pairs[0], TOY)
+    assert raised(lambda: algebra._batch(pairs, TOY))[2] == combined_form_min_eigenvalue(*pairs[1], TOY)
+
+
+def test_batch_overflow_comes_before_a_later_dimension_error():
+    # Jets 60 apart overflow against the time toy; the batch checks the
+    # dimensions of all pairs before it integrates any.
+    near, far = SpaceElement.delta([0.0]), SpaceElement.delta([60.0])
+    pairs = [(near, near), (near, far), (SpaceElement.delta([0.0, 0.0]), near)]
+    first = raised(lambda: loop(pairs, TOY))
+    assert first[0] is IntegralOverflowError and "float range" in first[1]
+    assert raised(lambda: inner_products(pairs, TOY)) == first
+    assert raised(lambda: algebra._batch(pairs, TOY))[0] is ValueError
+
+
+PARITY_CROSS_TERM_TOLERANCE = 1e-12  # the tolerance of oracle-check's parity_cross_term
+
+
+@st.composite
+def parity_elements(draw, odd):
+    """Time-toy mixtures t + Rt (even) or t - Rt (odd) with Re a >= 2.4,
+    on the ranges of oracle-check's sampler."""
+    element = SpaceElement.zero(1)
+    for _ in range(draw(st.integers(1, 2))):
+        a = complex(draw(st.floats(2.4, 5.0)), draw(st.floats(-0.8, 0.8)))
+        b = complex(draw(st.floats(0.2, 1.0)) * draw(st.sampled_from([-1.0, 1.0])), draw(st.floats(-1.0, 1.0)))
+        term = SpaceElement.gaussian([[a]], lin=[b], coeff=draw(complexes(2.0).filter(lambda c: abs(c) >= 1e-3)))
+        mirrored = term.reflected(TOY.signature)
+        element = element + (term - mirrored if odd else term + mirrored)
+    return element
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(parity_elements(odd=False), parity_elements(odd=True)), min_size=1, max_size=5))
+def test_krein_parity_signs_of_the_time_toy(samples):
+    pairs = [pair for even, odd in samples for pair in ((even, even), (odd, odd), (even, odd))]
+    values = inner_products(pairs, TOY).tolist()
+    for k in range(len(samples)):
+        even_norm, odd_norm, cross = values[3 * k:3 * k + 3]
+        even_norm, odd_norm = real_norm_squared(even_norm), real_norm_squared(odd_norm)
+        assert even_norm > 0.0 and odd_norm < 0.0
+        assert abs(cross) <= PARITY_CROSS_TERM_TOLERANCE * math.sqrt(even_norm * -odd_norm)
