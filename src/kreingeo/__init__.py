@@ -38,6 +38,7 @@ from .dynamics import (
     pde_residual_fd,
     schrodinger_residual,
     slice_inner_product,
+    slice_inner_products,
     slice_norm_squared,
     spatial_spec,
 )
@@ -107,7 +108,7 @@ __all__ = [
     "free_packet", "coherent_state", "schrodinger_residual", "pde_residual_fd",
     "path_velocity", "path_derivative", "orthogonality_check",
     "slice_inner_product", "slice_norm_squared", "spatial_spec",
-    "galileo_on_slice",
+    "galileo_on_slice", "slice_inner_products",
     # errors
     "KernelSpaceError", "DivergentNormError", "IntegralOverflowError",
     "DegenerateImmersionError", "NonAffineMapError", "ExpressionError",

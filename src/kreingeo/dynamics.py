@@ -19,6 +19,11 @@ and d/ds = -d/dy for y = t - s, kappa^(m1,m2) is 0 for odd n and, for even n,
 at every slice time.  All three factors are critical at coincidence, which
 is what makes the two components of the path velocity orthogonal.
 
+The spatial value (psi1, psi2) does not depend on the metric, so a batch of
+slice pairs (slice_inner_products; slice_inner_product is a batch of one) is
+one spatial pass: each jet pair with even m1 + m2 is one pair of a single
+algebra.inner_products call, and kappa is applied per metric.
+
 Analytic solution families (free packets, harmonic coherent states) are
 single complex-Gaussian terms with closed-form coefficient trajectories,
 so slice elements, Hamiltonian applications and residuals stay exact.
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import inner_product
+from .algebra import inner_products, real_norm_squared
 from .elements import SpaceElement
 from .groups import GalileoElement
 from .kernels import KernelSpec
@@ -111,6 +116,35 @@ def time_factor_derivative(kind: str, m1: int, m2: int, tau: float) -> float:
     return float((-1) ** flips * math.prod(range(n - 1, 0, -2)))
 
 
+def slice_inner_products(pairs, metrics=SLICE_METRICS) -> np.ndarray:
+    """Inner products of same-slice pairs (s1, s2) under each of ``metrics``, shape (len(pairs), len(metrics)).
+
+    Each pair of jets with a nonzero time factor (the same for every metric) is one spatial pair of a
+    single inner_products call; each metric weighs it by (-1)^(m1+m2) kappa^(m1,m2) and sums in the
+    order of a loop over the jets.  Metrics and slice times are checked before any pair integral.  The
+    spatial kernel is that of the first pair's dimension, so inner_products rejects a spatial pair of another.
+    """
+    pairs, metrics = list(pairs), tuple(metrics)
+    for metric in metrics:  # also when no slice has jets, so nothing is paired
+        _check_metric(metric)
+    spatial, weighted = [], []
+    for s1, s2 in pairs:
+        _check_same_slice(s1, s2)
+        weighted.append([])
+        for psi1, m1 in s1.jets:
+            for psi2, m2 in s2.jets:
+                kappas = [time_factor_derivative(m, m1, m2, s1.slice_time) for m in metrics]
+                if any(kappas):
+                    weighted[-1].append((len(spatial), (-1.0) ** (m1 + m2) * np.array(kappas)))
+                    spatial.append((psi1, psi2))
+    values = inner_products(spatial, spatial_spec(pairs[0][0].space_dim)) if spatial else []
+    totals = np.zeros((len(pairs), len(metrics)), dtype=complex)
+    for row, terms in zip(totals, weighted):
+        for k, weights in terms:
+            row += weights * values[k]
+    return totals
+
+
 def slice_inner_product(s1: TimeSlicedElement, s2: TimeSlicedElement,
                         metric: str = "H_eta") -> complex:
     """Inner product of two same-slice elements under a space-time metric.
@@ -118,29 +152,17 @@ def slice_inner_product(s1: TimeSlicedElement, s2: TimeSlicedElement,
     For order-zero jets every metric collapses to the spatial inner product
     at the slice time, since each time factor equals one at coincidence.
     """
-    _check_same_slice(s1, s2)
-    _check_metric(metric)  # also when a slice has no jets, so nothing is paired
-    spec = spatial_spec(s1.space_dim)
-    total = 0.0 + 0.0j
-    for psi1, m1 in s1.jets:
-        for psi2, m2 in s2.jets:
-            kappa = time_factor_derivative(metric, m1, m2, s1.slice_time)
-            if kappa != 0.0:
-                total += (-1.0) ** (m1 + m2) * kappa * inner_product(psi1, psi2, spec)
-    return total
+    return complex(slice_inner_products([(s1, s2)], (metric,))[0, 0])
 
 
 def slice_norm_squared(s: TimeSlicedElement, metric: str = "H_eta") -> float:
-    value = slice_inner_product(s, s, metric)
-    if abs(value.imag) > 1e-12 * abs(value) + 1e-14:
-        raise ValueError(f"squared norm has a non-negligible imaginary part: {value}")
-    return value.real
+    return real_norm_squared(slice_inner_product(s, s, metric))
 
 
 def orthogonality_check(c1: TimeSlicedElement, c2: TimeSlicedElement,
                         metrics=SLICE_METRICS) -> list[complex]:
     """Inner products of two slice elements under each requested metric."""
-    return [slice_inner_product(c1, c2, m) for m in metrics]
+    return slice_inner_products([(c1, c2)], metrics)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -358,9 +380,9 @@ def schrodinger_residual(path, h: HamiltonianSpec, taus, x_points=None) -> float
         pts = default_sample_grid(path, tau) if x_points is None else np.asarray(x_points)
         if pts.ndim == 1:
             pts = pts[:, None]
-        residual = path.psi_t(tau) + 1j * h.apply(path.psi(tau))
-        res_vals = np.abs(residual.evaluate(pts))
-        psi_vals = np.abs(path.psi(tau).evaluate(pts))
+        psi = path.psi(tau)
+        res_vals = np.abs((path.psi_t(tau) + 1j * h.apply(psi)).evaluate(pts))
+        psi_vals = np.abs(psi.evaluate(pts))
         floor = 1e-6 * float(psi_vals.max())
         worst = max(worst, float(np.max(res_vals / np.maximum(psi_vals, floor))))
     return worst

@@ -24,8 +24,7 @@ from .algebra import combined_form_min_eigenvalue, inner_product, inner_products
 from .catalog import builtin
 from .dynamics import (SLICE_METRICS, PerturbedPath, TimeSlicedElement, coherent_state, free_packet,
                        galileo_on_slice, path_velocity, pde_residual_fd,
-                       schrodinger_residual, slice_inner_product, slice_norm_squared,
-                       spatial_spec)
+                       schrodinger_residual, slice_inner_products, spatial_spec)
 from .elements import GaussianTerm, SpaceElement
 from .errors import DivergentNormError, KernelSpaceError, ReportError
 from .geometry import (PulledBackKernel, chordal_distance, embed_delta,
@@ -465,40 +464,42 @@ def run_slice_dynamics(p: dict, rng: np.random.Generator, tally: Tally):
         coherent_state(po["q0"], po["p0"], mass=hspec["mass"], frequency=hspec["frequency"]),
     ]
 
-    rows = []
+    velocities = []
     for path in paths:
         h = path.hamiltonian()
         tally.worst("residual_true", schrodinger_residual(path, h, taus))
         perturbed = PerturbedPath(path, p["perturbation"])
         tally.worst("residual_control_margin", 1e-2 - schrodinger_residual(perturbed, h, taus))
         tally.worst("fd_oracle_residual", pde_residual_fd(path, h))
-        for tau in taus:
-            c1, c2 = path_velocity(path, tau)
-            rel = [abs(slice_inner_product(c1, c2, m))
-                   / (abs(slice_norm_squared(c1, m)) ** 0.5 * abs(slice_norm_squared(c2, m)) ** 0.5)
-                   for m in metrics]
-            for value in rel:
-                tally.worst("orthogonality", value)
-            rows.append([path.kind, float(tau), *rel])
+        velocities += [(path.kind, float(tau), *path_velocity(path, tau)) for tau in taus]
+
+    # Each velocity's cross term and the two norms, under every metric, in one batch.
+    values = slice_inner_products([pair for _, _, c1, c2 in velocities
+                                   for pair in ((c1, c2), (c1, c1), (c2, c2))], metrics)
+    rows = []
+    for (kind, tau, *_), (cross, norms1, norms2) in zip(velocities, values.reshape(-1, 3, len(metrics))):
+        scale1, scale2 = ([abs(real_norm_squared(n)) ** 0.5 for n in norms.tolist()] for norms in (norms1, norms2))
+        rel = [abs(ip) / (a * b) for ip, a, b in zip(cross.tolist(), scale1, scale2)]
+        for value in rel:
+            tally.worst("orthogonality", value)
+        rows.append([kind, tau, *rel])
 
     # Superposition identity at a shared slice time.
     tau = float(taus[len(taus) // 2])
-    psi1 = paths[0].psi(tau)
-    psi2 = paths[1].psi(tau)
-    spat = spatial_spec(1)
+    psi1, psi2 = (path.psi(tau) for path in paths)
     combined = TimeSlicedElement.order_zero(psi1, tau) + TimeSlicedElement.order_zero(psi2, tau)
-    target = norm_squared(psi1 + psi2, spat)
-    for metric in metrics:
-        tally.worst("superposition_deviation", abs(slice_norm_squared(combined, metric) - target))
+    target = norm_squared(psi1 + psi2, spatial_spec(1))
+    for value in slice_inner_products([(combined, combined)], metrics)[0].tolist():
+        tally.worst("superposition_deviation", abs(real_norm_squared(value) - target))
 
     # Galileo transport of 3-dimensional slices preserves the spatial norm.
     packet3 = free_packet(0.9, [0.1, -0.2, 0.3], [0.5, 0.0, 0.2], space_dim=3)
     slice3 = packet3.slice_element(1.0)
-    base_norm = norm_squared(slice3.jets[0][0], spatial_spec(3))
-    for _ in range(p["galileo_samples"]):
-        moved = galileo_on_slice(random_galileo(rng), slice3)
-        tally.worst("galileo_norm_deviation",
-                    abs(norm_squared(moved.jets[0][0], spatial_spec(3)) - base_norm))
+    moved = [galileo_on_slice(random_galileo(rng), slice3) for _ in range(p["galileo_samples"])]
+    spatial = [s.jets[0][0] for s in (slice3, *moved)]
+    base_norm, *norms = map(real_norm_squared, inner_products([(e, e) for e in spatial], spatial_spec(3)).tolist())
+    for value in norms:
+        tally.worst("galileo_norm_deviation", abs(value - base_norm))
 
     header = ["family", "tau", *(f"orthogonality_{m}" for m in metrics)]
     elements = {"free_packet_slice": psi1, "coherent_state_slice": psi2}

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreingeo.algebra import inner_product, l2_inner_product, norm_squared
 from kreingeo.dynamics import (MAX_TIME_JET_ORDER, HamiltonianSpec, PerturbedPath,
                                TimeSlicedElement, coherent_state, free_packet, galileo_on_slice,
                                orthogonality_check, path_derivative, path_velocity,
                                pde_residual_fd, schrodinger_residual,
-                               slice_inner_product, slice_norm_squared, spatial_spec,
-                               time_factor_derivative)
-from kreingeo.elements import SpaceElement
+                               slice_inner_product, slice_inner_products, slice_norm_squared,
+                               spatial_spec, time_factor_derivative)
+from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.groups import GalileoElement, random_galileo
 from kreingeo.kernels import KernelSpec
 
@@ -334,3 +336,97 @@ def test_three_dimensional_velocity_orthogonality():
         scale = math.sqrt(abs(slice_norm_squared(c1, metric))
                           * abs(slice_norm_squared(c2, metric)))
         assert abs(value) <= 1e-8 * scale
+
+
+def jet_loop(s1, s2, metric):
+    """The slice inner product as a loop over jet pairs, one inner_product call each, and the
+    summed magnitude of the term pairs it adds up."""
+    spec = spatial_spec(s1.space_dim)
+    total, scale = 0.0 + 0.0j, 0.0
+    for psi1, m1 in s1.jets:
+        for psi2, m2 in s2.jets:
+            kappa = time_factor_derivative(metric, m1, m2, s1.slice_time)
+            if kappa != 0.0:
+                total += (-1.0) ** (m1 + m2) * kappa * inner_product(psi1, psi2, spec)
+                scale += abs(kappa) * sum(abs(inner_product(a, b, spec))
+                                          for a in pieces(psi1) for b in pieces(psi2))
+    return total, scale
+
+
+def pieces(e):
+    return ([SpaceElement(e.dim, (t,)) for t in e.gaussians]
+            + [SpaceElement(e.dim, (), (t,)) for t in e.deltas])
+
+
+def complexes(bound=1.0):
+    return st.builds(complex, st.floats(-bound, bound), st.floats(-bound, bound))
+
+
+@st.composite
+def spatial_parts(draw, dim, plain):
+    """A Gaussian mixture, monomial-free when ``plain``, and otherwise with monomials and delta jets."""
+    gaussians = []
+    for _ in range(draw(st.integers(1 if plain else 0, 2))):
+        quad = np.diag([complex(draw(st.floats(0.8, 2.0)), draw(st.floats(-0.4, 0.4))) for _ in range(dim)])
+        lin = [0.5 * draw(complexes()) for _ in range(dim)]
+        poly = () if plain else tuple(draw(st.integers(0, 1)) for _ in range(dim))
+        gaussians.append(GaussianTerm(draw(complexes(2.0)), quad, lin, poly))
+    deltas = []
+    for _ in range(0 if plain else draw(st.integers(0, 2))):
+        orders = [0] * dim
+        for axis in draw(st.lists(st.integers(0, dim - 1), max_size=JET_ORDER_CAP)):
+            orders[axis] += 1
+        deltas.append(DeltaJetTerm(draw(complexes(2.0)), [draw(st.floats(-1.0, 1.0)) for _ in range(dim)],
+                                   tuple(orders)))
+    return SpaceElement(dim, tuple(gaussians), tuple(deltas))
+
+
+@st.composite
+def slice_batches(draw):
+    """Pairs drawn with repeats from a few slice elements of one slice time, and one with no jets."""
+    dim, plain, tau = draw(st.sampled_from((1, 3))), draw(st.booleans()), draw(st.floats(-2.0, 2.0))
+    jet = st.tuples(spatial_parts(dim, plain), st.integers(0, MAX_TIME_JET_ORDER))
+    elements = [TimeSlicedElement(tau, tuple(draw(st.lists(jet, min_size=1, max_size=3))), dim)
+                for _ in range(draw(st.integers(1, 3)))] + [TimeSlicedElement(tau, (), dim)]
+    index = st.integers(0, len(elements) - 1)
+    pairs = [(elements[i], elements[j]) for i, j in draw(st.lists(st.tuples(index, index), max_size=6))]
+    return plain, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(slice_batches())
+def test_slice_batch_matches_the_loop_for_every_metric(case):
+    plain, pairs = case
+    values = slice_inner_products(pairs)
+    assert values.shape == (len(pairs), len(METRICS)) and values.dtype == complex
+    for row, (s1, s2) in zip(values, pairs):
+        for value, metric in zip(row, METRICS):
+            want, scale = jet_loop(s1, s2, metric)
+            assert slice_inner_product(s1, s2, metric) == want
+            if plain:
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-13 * scale
+
+
+def test_empty_slice_batch():
+    assert slice_inner_products([]).shape == (0, len(METRICS))
+    assert slice_inner_products([], ("H_T",)).shape == (0, 1)
+
+
+def test_unknown_slice_metric_is_rejected_in_an_empty_batch():
+    with pytest.raises(ValueError, match="unknown slice metric"):
+        slice_inner_products([], ("H_eta", "bogus"))
+
+
+def test_slice_batch_raises_the_loops_error_for_unequal_slice_times():
+    packet = free_packet(0.8, 0.0, 0.0)
+    s1 = TimeSlicedElement.order_zero(packet.psi(0.1), 0.1)
+    s2 = TimeSlicedElement.order_zero(packet.psi(0.2), 0.2)
+    pairs = [(s1, s1), (s1, s2)]
+    with pytest.raises(ValueError) as looped:
+        for a, b in pairs:
+            slice_inner_product(a, b)
+    with pytest.raises(ValueError) as batched:
+        slice_inner_products(pairs)
+    assert "differ" in str(batched.value) and str(batched.value) == str(looped.value)

@@ -1,4 +1,5 @@
-"""The tally that reduces per-case values, and NaN cases end to end.
+"""The tally that reduces per-case values, NaN cases end to end, and the
+pair-engine passes of slice-dynamics.
 
 A NaN per-case value must fail its measurement: a running ``max`` started
 at 0.0 drops it, and a count of ``x <= 0.0`` does not count it.
@@ -8,11 +9,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kreingeo import experiments
+from kreingeo import algebra, experiments
 from kreingeo.cli import main
+from kreingeo.dynamics import SLICE_METRICS, slice_inner_product
 from kreingeo.experiments import (EXPERIMENTS, ExperimentConfig, Tally, emit_report,
                                   run_experiment)
 
@@ -116,3 +119,33 @@ def test_run_experiment_rejects_a_runner_that_misses_a_measurement(tmp_path, mon
     with pytest.raises(RuntimeError, match="coth_deviation"):
         run_experiment(cfg)
     assert not (tmp_path / "results").exists()
+
+
+def _slice_dynamics_outputs(out_dir):
+    """Every file of a default slice-dynamics run, the report without its wall time."""
+    run_experiment(ExperimentConfig.build("slice-dynamics", out_dir=out_dir, dump_elements=True))
+    files = {path.name: path.read_text(encoding="utf-8") for path in out_dir.iterdir()}
+    report = json.loads(files.pop("slice-dynamics_report.json"))
+    del report["wall_time_seconds"]
+    return files, report
+
+
+def test_slice_dynamics_makes_a_few_pair_engine_passes(tmp_path, monkeypatch):
+    # One batch for the velocity pairs, one for the superposition, one for the
+    # Galileo norms and one target norm; a loop of slice inner products makes 144.
+    calls, batch = [], algebra._batch
+
+    def counted(pairs, spec):
+        calls.append(len(pairs))
+        return batch(pairs, spec)
+    monkeypatch.setattr(algebra, "_batch", counted)
+    batched = _slice_dynamics_outputs(tmp_path / "batched")
+    assert len(calls) <= 4, calls
+
+    def loop(pairs, metrics=SLICE_METRICS):
+        return np.array([[slice_inner_product(s1, s2, m) for m in metrics] for s1, s2 in pairs],
+                        dtype=complex).reshape(len(pairs), len(metrics))
+    monkeypatch.setattr(experiments, "slice_inner_products", loop)
+    calls.clear()
+    assert _slice_dynamics_outputs(tmp_path / "looped") == batched
+    assert len(calls) > 100
