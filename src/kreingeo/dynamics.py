@@ -29,6 +29,7 @@ single complex-Gaussian terms with closed-form coefficient trajectories,
 so slice elements, Hamiltonian applications and residuals stay exact.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,18 +186,15 @@ class HamiltonianSpec:
             raise ValueError("a free Hamiltonian has no frequency")
 
     def apply(self, psi: SpaceElement) -> SpaceElement:
-        """h psi within the Gaussian-jet family."""
-        kinetic = SpaceElement.zero(psi.dim)
-        for axis in range(psi.dim):
-            kinetic = kinetic + psi.derivative(axis).derivative(axis)
-        result = (-0.5 / self.mass) * kinetic
+        """h psi within the Gaussian-jet family, as one element of scaled siblings of psi's terms."""
+        parts = [(psi.derivative(axis).derivative(axis), -0.5 / self.mass) for axis in range(psi.dim)]
         if self.kind == "harmonic" and self.frequency > 0.0:
             factor = 0.5 * self.mass * self.frequency ** 2
-            for axis in range(psi.dim):
-                result = result + factor * psi.mul_coord(axis).mul_coord(axis)
+            parts += [(psi.mul_coord(axis).mul_coord(axis), factor) for axis in range(psi.dim)]
         if self.offset != 0.0:
-            result = result + self.offset * psi
-        return result
+            parts.append((psi, self.offset))
+        return SpaceElement(psi.dim, tuple(t.scaled(complex(scalar)) for part, scalar in parts
+                                           for t in part.gaussians))
 
 
 @dataclass(frozen=True)
@@ -227,6 +225,7 @@ class EvolutionPath:
 
     # -- coefficient trajectories -------------------------------------------
 
+    @functools.cached_property
     def _initial(self) -> tuple[float, np.ndarray, complex]:
         if self.kind == "free":
             a0 = 1.0 / (2.0 * self.width ** 2)
@@ -239,7 +238,7 @@ class EvolutionPath:
         return a0, b0, complex(c0)
 
     def coefficients(self, t: float) -> tuple[complex, np.ndarray, complex]:
-        a0, b0, c0 = self._initial()
+        a0, b0, c0 = self._initial
         d = self.space_dim
         if self.kind == "free":
             D = 1.0 + 1j * a0 * t / self.mass
@@ -279,20 +278,29 @@ class EvolutionPath:
 
     def psi_t(self, tau: float) -> SpaceElement:
         """Exact time derivative (cdot + bdot.x - adot |x|^2 / 2) psi."""
+        return self._jets(tau)[1]
+
+    def _jets(self, tau: float) -> tuple[SpaceElement, SpaceElement]:
+        """(psi, psi_t) at tau, psi_t made of siblings of psi's one term."""
         psi = self.psi(tau)
         adot, bdot, cdot = self.coefficient_rates(tau)
-        result = cdot * psi
+        terms = [cdot * psi]
         for axis in range(self.space_dim):
             x_psi = psi.mul_coord(axis)
             if bdot[axis] != 0:
-                result = result + bdot[axis] * x_psi
+                terms.append(bdot[axis] * x_psi)
             if adot != 0:
-                result = result + (-0.5 * adot) * x_psi.mul_coord(axis)
-        return result
+                terms.append((-0.5 * adot) * x_psi.mul_coord(axis))
+        return psi, SpaceElement(psi.dim, tuple(t for e in terms for t in e.gaussians))
 
-    def value(self, x, t: float) -> np.ndarray:
-        """Pointwise psi(x, t); x is a scalar, vector, or array of points."""
-        a, b, c = self.coefficients(t)
+    def value(self, x, t) -> np.ndarray:
+        """Pointwise psi(x, t); x is a scalar, vector, or array of points.
+
+        t is a time or a 1-d array of times.  For an array the times are the
+        leading axis, and each row equals the call at that one time: the
+        coefficients are computed time by time and the exponent elementwise.
+        """
+        times = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.space_dim == 1:
             pts = x.reshape(-1, 1)
@@ -300,8 +308,12 @@ class EvolutionPath:
         else:
             pts = x.reshape(-1, self.space_dim)
             shape = x.shape[:-1]
-        expo = -0.5 * a * np.sum(pts * pts, axis=1) + pts @ b + c
-        return np.exp(expo).reshape(shape)
+        rows = [self.coefficients(float(s)) for s in times.reshape(-1)]
+        a = np.array([-0.5 * row[0] for row in rows])[:, None]
+        b = np.array([row[1] for row in rows]).reshape(-1, self.space_dim)
+        c = np.array([row[2] for row in rows])[:, None]
+        expo = a * np.sum(pts * pts, axis=1) + np.einsum("ni,ki->kn", pts, b) + c
+        return np.exp(expo).reshape(times.shape + shape)
 
     def hamiltonian(self) -> HamiltonianSpec:
         if self.kind == "free":
@@ -341,12 +353,22 @@ class PerturbedPath:
     eps: float = 0.01
 
     def psi(self, tau: float) -> SpaceElement:
-        p = self.base.psi(tau)
-        return p + self.eps * p.mul_coord(0)
+        return self._deform(self.base.psi(tau))
 
     def psi_t(self, tau: float) -> SpaceElement:
-        p = self.base.psi_t(tau)
+        return self._jets(tau)[1]
+
+    def _jets(self, tau: float) -> tuple[SpaceElement, SpaceElement]:
+        return tuple(map(self._deform, self.base._jets(tau)))
+
+    def _deform(self, p: SpaceElement) -> SpaceElement:
         return p + self.eps * p.mul_coord(0)
+
+    def value(self, x, t) -> np.ndarray:
+        """Pointwise (1 + eps x1) psi(x, t), with times as in EvolutionPath.value."""
+        x = np.asarray(x, dtype=float)
+        x1 = x if self.space_dim == 1 else x[..., 0]
+        return (1.0 + self.eps * x1) * self.base.value(x, t)
 
     @property
     def space_dim(self) -> int:
@@ -372,16 +394,22 @@ def schrodinger_residual(path, h: HamiltonianSpec, taus, x_points=None) -> float
 
     Both sides come from the closed-form jets; a vanishing residual
     certifies that the sliced path solves the evolution equation with the
-    given Hamiltonian.
+    given Hamiltonian.  At each tau, psi is built once and d psi/dt and
+    h psi are made of siblings of its terms, so the residual's evaluation
+    computes one exponential per form of psi.  An empty ``taus`` is a
+    ValueError.
     """
+    taus = np.atleast_1d(taus)
+    if taus.size == 0:
+        raise ValueError("taus must hold at least one time")
     worst = 0.0
-    for tau in np.atleast_1d(taus):
+    for tau in taus:
         tau = float(tau)
         pts = default_sample_grid(path, tau) if x_points is None else np.asarray(x_points)
         if pts.ndim == 1:
             pts = pts[:, None]
-        psi = path.psi(tau)
-        res_vals = np.abs((path.psi_t(tau) + 1j * h.apply(psi)).evaluate(pts))
+        psi, psi_t = path._jets(tau)
+        res_vals = np.abs((psi_t + 1j * h.apply(psi)).evaluate(pts))
         psi_vals = np.abs(psi.evaluate(pts))
         floor = 1e-6 * float(psi_vals.max())
         worst = max(worst, float(np.max(res_vals / np.maximum(psi_vals, floor))))
@@ -395,28 +423,27 @@ def pde_residual_fd(path, h: HamiltonianSpec, x_range=(-6.0, 6.0),
 
     Uses only pointwise values of psi on local stencils around an
     (x, t) grid; never touches the closed-form jets.  One spatial
-    dimension.
+    dimension.  The stencils are five ``path.value`` calls on the whole
+    (nt, nx) grid, with the times as the leading axis.  ``nx`` and ``nt``
+    must be at least 1.
     """
     base = getattr(path, "base", path)
     if base.space_dim != 1:
         raise ValueError("the finite-difference oracle is one-dimensional")
+    for name, count in (("nx", nx), ("nt", nt)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     xs = np.linspace(*x_range, nx)
     ts = np.linspace(*t_range, nt)
-    scale = 0.0
-    worst = 0.0
-    for t in ts:
-        psi0 = path.value(xs, t)
-        psi_t = (path.value(xs, t + step) - path.value(xs, t - step)) / (2.0 * step)
-        psi_xx = (path.value(xs + step, t) - 2.0 * psi0
-                  + path.value(xs - step, t)) / step ** 2
-        potential = np.zeros_like(xs)
-        if h.kind == "harmonic":
-            potential = 0.5 * h.mass * h.frequency ** 2 * xs ** 2
-        potential = potential + h.offset
-        residual = 1j * psi_t + psi_xx / (2.0 * h.mass) - potential * psi0
-        worst = max(worst, float(np.max(np.abs(residual))))
-        scale = max(scale, float(np.max(np.abs(psi0))))
-    return worst / scale
+    psi0 = path.value(xs, ts)
+    psi_t = (path.value(xs, ts + step) - path.value(xs, ts - step)) / (2.0 * step)
+    psi_xx = (path.value(xs + step, ts) - 2.0 * psi0 + path.value(xs - step, ts)) / step ** 2
+    potential = np.zeros_like(xs)
+    if h.kind == "harmonic":
+        potential = 0.5 * h.mass * h.frequency ** 2 * xs ** 2
+    potential = potential + h.offset
+    residual = 1j * psi_t + psi_xx / (2.0 * h.mass) - potential * psi0
+    return float(np.max(np.abs(residual))) / float(np.max(np.abs(psi0)))
 
 
 def path_velocity(path: EvolutionPath, tau: float) -> tuple[TimeSlicedElement, TimeSlicedElement]:
@@ -439,8 +466,8 @@ def path_velocity(path: EvolutionPath, tau: float) -> tuple[TimeSlicedElement, T
 def path_derivative(path: EvolutionPath, tau: float) -> TimeSlicedElement:
     """d/dtau of the sliced path: psi_t(., tau) delta - psi(., tau) delta'."""
     tau = float(tau)
-    return TimeSlicedElement(tau, ((path.psi_t(tau), 0), (-1.0 * path.psi(tau), 1)),
-                             path.space_dim)
+    psi, psi_t = path._jets(tau)
+    return TimeSlicedElement(tau, ((psi_t, 0), (-1.0 * psi, 1)), path.space_dim)
 
 
 def galileo_on_slice(g: GalileoElement, se: TimeSlicedElement) -> TimeSlicedElement:

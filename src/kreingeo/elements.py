@@ -213,7 +213,13 @@ class SpaceElement:
     # -- pointwise and calculus operations ------------------------------------
 
     def evaluate(self, points) -> np.ndarray:
-        """Values at an (N, dim) array of points (Gaussian terms only)."""
+        """Values at an (N, dim) array of points (Gaussian terms only).
+
+        Terms that share one quadratic and linear part (siblings made by
+        scaling, ``derivative`` or ``mul_coord``) share one exponential, and
+        terms with equal powers one monomial; each term still adds
+        coeff * monomial * exponential, in term order.
+        """
         self._require_gaussian_only("pointwise evaluation")
         pts = np.asarray(points, dtype=float)
         squeeze = False
@@ -223,13 +229,18 @@ class SpaceElement:
         if pts.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
         out = np.zeros(pts.shape[0], dtype=complex)
+        waves, monos = {}, {}
         for t in self.gaussians:
-            expo = -0.5 * np.einsum("ni,ij,nj->n", pts, t.quad, pts) + pts @ t.lin
-            mono = np.ones(pts.shape[0], dtype=complex)
-            for i, k in enumerate(t.poly):
-                if k:
-                    mono = mono * pts[:, i] ** k
-            out += t.coeff * mono * np.exp(expo)
+            form = (id(t.quad), id(t.lin))
+            if form not in waves:
+                waves[form] = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, t.quad, pts) + pts @ t.lin)
+            if t.poly not in monos:
+                mono = np.ones(pts.shape[0], dtype=complex)
+                for i, k in enumerate(t.poly):
+                    if k:
+                        mono = mono * pts[:, i] ** k
+                monos[t.poly] = mono
+            out += t.coeff * monos[t.poly] * waves[form]
         return out[0] if squeeze else out
 
     def derivative(self, axis: int) -> "SpaceElement":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreingeo.algebra import inner_product, l2_inner_product, norm_squared
-from kreingeo.dynamics import (MAX_TIME_JET_ORDER, HamiltonianSpec, PerturbedPath,
-                               TimeSlicedElement, coherent_state, free_packet, galileo_on_slice,
+from kreingeo.dynamics import (MAX_TIME_JET_ORDER, EvolutionPath, HamiltonianSpec, PerturbedPath,
+                               TimeSlicedElement, coherent_state, default_sample_grid,
+                               free_packet, galileo_on_slice,
                                orthogonality_check, path_derivative, path_velocity,
                                pde_residual_fd, schrodinger_residual,
                                slice_inner_product, slice_inner_products, slice_norm_squared,
@@ -15,6 +17,7 @@ from kreingeo.dynamics import (MAX_TIME_JET_ORDER, HamiltonianSpec, PerturbedPat
 from kreingeo.elements import JET_ORDER_CAP, DeltaJetTerm, GaussianTerm, SpaceElement
 from kreingeo.groups import GalileoElement, random_galileo
 from kreingeo.kernels import KernelSpec
+from test_elements import evaluate_term_by_term
 
 METRICS = ("H_eta", "H_tilde", "H_T")
 TAUS = np.linspace(0.1, 2.0, 10)
@@ -430,3 +433,175 @@ def test_slice_batch_raises_the_loops_error_for_unequal_slice_times():
     with pytest.raises(ValueError) as batched:
         slice_inner_products(pairs)
     assert "differ" in str(batched.value) and str(batched.value) == str(looped.value)
+
+
+# -- residuals against the term-by-term algorithms ---------------------------------
+
+
+def reference_value(path, x, t):
+    """psi(x, t) at one time from the coefficients, one exponential per call."""
+    if isinstance(path, PerturbedPath):
+        return (1.0 + path.eps * x) * reference_value(path.base, x, t)
+    a, b, c = path.coefficients(t)
+    pts = x.reshape(-1, 1)
+    return np.exp(-0.5 * a * np.sum(pts * pts, axis=1) + pts @ b + c).reshape(x.shape)
+
+
+def reference_psi_t(path, tau):
+    """d psi/dt as a running sum of elements, on its own psi."""
+    if isinstance(path, PerturbedPath):
+        p = reference_psi_t(path.base, tau)
+        return p + path.eps * p.mul_coord(0)
+    psi = path.psi(tau)
+    adot, bdot, cdot = path.coefficient_rates(tau)
+    result = cdot * psi
+    for axis in range(path.space_dim):
+        x_psi = psi.mul_coord(axis)
+        if bdot[axis] != 0:
+            result = result + bdot[axis] * x_psi
+        if adot != 0:
+            result = result + (-0.5 * adot) * x_psi.mul_coord(axis)
+    return result
+
+
+def reference_apply(h, psi):
+    """h psi as a running sum of elements, rescaled as a whole."""
+    kinetic = SpaceElement.zero(psi.dim)
+    for axis in range(psi.dim):
+        kinetic = kinetic + psi.derivative(axis).derivative(axis)
+    result = (-0.5 / h.mass) * kinetic
+    if h.kind == "harmonic" and h.frequency > 0.0:
+        for axis in range(psi.dim):
+            result = result + 0.5 * h.mass * h.frequency ** 2 * psi.mul_coord(axis).mul_coord(axis)
+    if h.offset != 0.0:
+        result = result + h.offset * psi
+    return result
+
+
+def reference_residual(path, h, taus):
+    """The closed-form residual with psi rebuilt for each jet and every term evaluated on its own."""
+    worst = 0.0
+    for tau in taus:
+        pts = default_sample_grid(path, float(tau))
+        psi = path.psi(float(tau))
+        res = reference_psi_t(path, float(tau)) + 1j * reference_apply(h, psi)
+        res_vals = np.abs(evaluate_term_by_term(res, pts))
+        psi_vals = np.abs(evaluate_term_by_term(psi, pts))
+        floor = 1e-6 * float(psi_vals.max())
+        worst = max(worst, float(np.max(res_vals / np.maximum(psi_vals, floor))))
+    return worst
+
+
+def reference_fd(path, h, x_range, t_range, nx, nt, step=4e-4):
+    """The finite-difference residual one time row at a time."""
+    xs = np.linspace(*x_range, nx)
+    scale = worst = 0.0
+    for t in np.linspace(*t_range, nt):
+        psi0 = reference_value(path, xs, t)
+        psi_t = (reference_value(path, xs, t + step) - reference_value(path, xs, t - step)) / (2.0 * step)
+        psi_xx = (reference_value(path, xs + step, t) - 2.0 * psi0
+                  + reference_value(path, xs - step, t)) / step ** 2
+        potential = np.zeros_like(xs)
+        if h.kind == "harmonic":
+            potential = 0.5 * h.mass * h.frequency ** 2 * xs ** 2
+        potential = potential + h.offset
+        residual = 1j * psi_t + psi_xx / (2.0 * h.mass) - potential * psi0
+        worst = max(worst, float(np.max(np.abs(residual))))
+        scale = max(scale, float(np.max(np.abs(psi0))))
+    return worst / scale
+
+
+def residual_paths():
+    paths = [free_packet(0.8, 0.3, 1.2), coherent_state(0.7, -0.5, frequency=1.3)]
+    return paths + [PerturbedPath(p, 0.01) for p in paths]
+
+
+@pytest.mark.parametrize("path", residual_paths(), ids=["free", "oscillator", "free-perturbed",
+                                                          "oscillator-perturbed"])
+def test_residuals_equal_the_term_by_term_algorithms(path):
+    h = getattr(path, "base", path).hamiltonian()
+    for taus in (TAUS, np.linspace(-1.0, 3.0, 7)):
+        assert schrodinger_residual(path, h, taus) == reference_residual(path, h, taus)
+    shifted = dataclasses.replace(h, offset=0.37)
+    assert schrodinger_residual(path, shifted, TAUS) == reference_residual(path, shifted, TAUS)
+    for grid in (((-6.0, 6.0), (0.0, 1.0), 50, 50), ((-4.0, 5.0), (0.3, 2.0), 17, 9),
+                 ((-1.0, 1.0), (0.5, 0.5), 1, 1)):
+        assert pde_residual_fd(path, h, *grid) == reference_fd(path, h, *grid)
+
+
+def test_three_dimensional_residual_equals_the_term_by_term_algorithm():
+    packet = free_packet(0.9, [0.1, -0.2, 0.3], [0.5, 0.0, 0.2], space_dim=3)
+    taus = [0.4, 1.0]
+    assert schrodinger_residual(packet, packet.hamiltonian(), taus) \
+        == reference_residual(packet, packet.hamiltonian(), taus)
+
+
+@pytest.mark.parametrize("path", residual_paths()[:2] + [
+    free_packet(0.9, [0.1, -0.2, 0.3], [0.5, 0.0, 0.2], space_dim=3),
+    PerturbedPath(coherent_state([0.2, 0.1], [-0.3, 0.4], frequency=0.9, space_dim=2), 0.05),
+], ids=["free", "oscillator", "free-3d", "perturbed-2d"])
+def test_value_rows_equal_the_call_at_each_time(path):
+    rng = np.random.default_rng(path.space_dim)
+    x = rng.normal(size=(6,) if path.space_dim == 1 else (2, 3, path.space_dim))
+    times = np.array([-0.7, 0.0, 0.25, 1.9])
+    grid = path.value(x, times)
+    assert grid.shape == times.shape + (x.shape if path.space_dim == 1 else x.shape[:-1])
+    for row, t in zip(grid, times):
+        assert np.array_equal(row, path.value(x, t))
+    if isinstance(path, PerturbedPath):  # the factor 1 + eps x1 reads the first coordinate
+        assert np.array_equal(grid, (1.0 + path.eps * x[..., 0]) * path.base.value(x, times))
+    assert path.value(x, np.array([])).shape == (0,) + grid.shape[1:]
+
+
+def test_value_at_one_time_equals_the_coefficient_formula():
+    for path in residual_paths():
+        xs = np.linspace(-3.0, 3.0, 13)
+        assert np.array_equal(path.value(xs, 0.45), reference_value(path, xs, 0.45))
+
+
+def test_fd_oracle_finds_the_perturbed_control_off_shell():
+    for path in residual_paths()[:2]:
+        h = path.hamiltonian()
+        true = pde_residual_fd(path, h)
+        assert true <= 1e-6
+        assert pde_residual_fd(PerturbedPath(path, 0.01), h) >= 1e-2 > 1e4 * true
+
+
+def test_residuals_build_psi_once_per_time_and_call_value_a_fixed_number_of_times(monkeypatch):
+    built, calls = [], []
+    psi, value = EvolutionPath.psi, EvolutionPath.value
+
+    def counted_psi(self, tau):
+        built.append(tau)
+        return psi(self, tau)
+
+    def counted_value(self, x, t):
+        calls.append(np.shape(t))
+        return value(self, x, t)
+
+    monkeypatch.setattr(EvolutionPath, "psi", counted_psi)
+    monkeypatch.setattr(EvolutionPath, "value", counted_value)
+    for path in residual_paths():
+        h = getattr(path, "base", path).hamiltonian()
+        built.clear()
+        schrodinger_residual(path, h, TAUS)
+        assert built == [float(tau) for tau in TAUS]
+        for nt in (1, 7, 50, 200):
+            calls.clear()
+            pde_residual_fd(path, h, nt=nt)
+            assert calls == [(nt,)] * 5
+
+
+@pytest.mark.parametrize("taus", [[], np.array([])])
+def test_schrodinger_residual_rejects_an_empty_time_grid(taus):
+    packet = free_packet(0.8, 0.3, 1.2)
+    with pytest.raises(ValueError, match="taus"):
+        schrodinger_residual(packet, packet.hamiltonian(), taus)
+
+
+@pytest.mark.parametrize("grid, name", [({"nx": 0}, "nx"), ({"nt": 0}, "nt"), ({"nx": -3}, "nx"),
+                                        ({"nx": 5, "nt": 0}, "nt")])
+def test_fd_oracle_rejects_an_empty_grid(grid, name):
+    packet = free_packet(0.8, 0.3, 1.2)
+    with pytest.raises(ValueError, match=name):
+        pde_residual_fd(packet, packet.hamiltonian(), **grid)

@@ -96,6 +96,52 @@ def test_evaluate_matches_direct_formula():
     assert np.allclose(e.evaluate(pts), direct, atol=1e-14)
 
 
+def evaluate_term_by_term(e, points):
+    """Pointwise values with each term's exponential and monomial computed on its own."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for t in e.gaussians:
+        expo = -0.5 * np.einsum("ni,ij,nj->n", pts, t.quad, pts) + pts @ t.lin
+        mono = np.ones(pts.shape[0], dtype=complex)
+        for i, k in enumerate(t.poly):
+            if k:
+                mono = mono * pts[:, i] ** k
+        out += t.coeff * mono * np.exp(expo)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_evaluate_shares_one_exponential_per_form(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+
+    def form():
+        quad = np.diag(rng.uniform(0.6, 1.4, dim)) + 0.3j * np.eye(dim)
+        return SpaceElement.gaussian(quad, lin=rng.normal(size=dim) + 0.5j, coeff=rng.normal() + 1j)
+
+    f, g = form(), form()
+    term = f.gaussians[0]
+    twin = SpaceElement.gaussian(term.quad.copy(), lin=term.lin.copy())
+    shifted = SpaceElement(dim, (term._sibling(0.7j, lin=term.lin + 0.25),))
+    # Siblings of f and g interleaved, a term equal in value to f's form but built apart,
+    # and one on f's quadratic part with another linear part.
+    e = (f + f.derivative(0) + 2j * g.mul_coord(dim - 1) + g + twin + shifted
+         + (0.5 - 1j) * f.mul_coord(0).mul_coord(0) + g.derivative(dim - 1).derivative(0))
+    pts = rng.normal(size=(23, dim))
+    shapes, exp = [], np.exp
+
+    def counting_exp(z):
+        shapes.append(np.shape(z))
+        return exp(z)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    values = e.evaluate(pts)
+    monkeypatch.undo()
+    assert shapes == [(23,)] * 4 and len(e.gaussians) >= 9
+    assert np.array_equal(values, evaluate_term_by_term(e, pts))
+    if dim > 1:  # one point given as a vector
+        assert e.evaluate(pts[0]) == values[0]
+
+
 def test_evaluate_rejects_deltas():
     with pytest.raises(ValueError):
         SpaceElement.delta([0.0]).evaluate(np.zeros((1, 1)))
