@@ -29,9 +29,9 @@ from .elements import GaussianTerm, SpaceElement
 from .errors import DivergentNormError, KernelSpaceError, ReportError
 from .geometry import (PulledBackKernel, chordal_distance, embed_delta,
                        induced_metric)
-from .groups import (AffineMap, DiffeoMap, PoincareElement, act_on_element,
-                     apply_point, check_gram_invariance, extend_to_span,
-                     parse_group_element, random_galileo, random_poincare)
+from .groups import (AffineMap, DiffeoMap, PoincareElement, _galileo_draws, _galileo_stack,
+                     _poincare_draws, _poincare_stack, act_on_element, apply_point,
+                     check_gram_invariance, extend_to_span, parse_group_element)
 from .kernels import (KernelSpec, Signature, sobolev_coth_reference,
                       sobolev_kernel_value)
 from .polygauss import PD_TOLERANCE
@@ -247,9 +247,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -393,47 +391,42 @@ def run_metric_recovery(p: dict, rng: np.random.Generator, tally: Tally):
     return tables, None
 
 
-def _commutation_gap(g, pts: np.ndarray) -> float:
-    """Distance of the span image of the delta at ``pts[0]`` from the delta at ``g(pts[0])``."""
-    image = act_on_element(extend_to_span(g, pts), embed_delta(pts[0]))
-    return float(np.max(np.abs(image.deltas[0].base - apply_point(g, pts[0]))))
+def _commutation_gaps(elements, points: np.ndarray, images: np.ndarray, tally: Tally) -> None:
+    """Span image of the delta at ``points[0, i]`` under element i against ``images[i]``; points (n, k, m)."""
+    for g, pts, image in zip(elements, points.swapaxes(0, 1), images):
+        moved = act_on_element(extend_to_span(g, pts), embed_delta(pts[0]))
+        tally.worst("commutativity_deviation", np.max(np.abs(moved.deltas[0].base - image)))
 
 
 def _commutativity_and_composition(rng: np.random.Generator, samples: int, tally: Tally):
-    """Span-operator round trips and group-law consistency."""
-    diffeo = DiffeoMap.from_strings(
-        ["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
-        [(-1.0, 1.0), (-1.0, 1.0)],
-    )
+    """Span-operator round trips and group-law consistency: each sample draws g, its
+    points and h in turn, then each kind's g's and h's are built and checked as two stacks."""
+    diffeo = DiffeoMap.from_strings(["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
+                                    [(-1.0, 1.0), (-1.0, 1.0)])
     per_kind = samples // 3
-    # Poincare and Galileo elements act on 4-vectors, the diffeo on its box.
-    for _ in range(per_kind):
-        g = random_poincare(rng)
-        a = rng.normal(scale=0.8, size=4)
-        pts = np.vstack([a, a + rng.normal(scale=1.0, size=4)])
-        tally.worst("commutativity_deviation", _commutation_gap(g, pts))
-        h = random_poincare(rng)
+    # Poincare elements act on point pairs, Galileo elements on single points, the diffeo on its box.
+    for draw, stack, count in ((_poincare_draws, _poincare_stack, 2), (_galileo_draws, _galileo_stack, 1)):
+        drawn = []
+        for _ in range(per_kind):
+            g, a = draw(rng), rng.normal(scale=0.8, size=4)
+            pts = [a] + [a + rng.normal(scale=1.0, size=4) for _ in range(count - 1)]
+            drawn.append((g, pts, draw(rng)))
+        gs, pts, hs = zip(*drawn)
+        G, H, P = stack(gs), stack(hs), np.array(pts).swapaxes(0, 1)
+        _commutation_gaps(G, P, apply_point(G, P[0]), tally)
         tally.worst("composition_deviation", np.max(np.abs(
-            apply_point(g @ h, pts) - apply_point(g, apply_point(h, pts)))))
-    for _ in range(per_kind):
-        g = random_galileo(rng)
-        a = rng.normal(scale=0.8, size=4)
-        tally.worst("commutativity_deviation", _commutation_gap(g, a[None, :]))
-        h = random_galileo(rng)
-        tally.worst("composition_deviation", np.max(np.abs(
-            apply_point(g @ h, a) - apply_point(g, apply_point(h, a)))))
-    for _ in range(samples - 2 * per_kind):
-        a = rng.uniform(-0.95, 0.95, size=2)
-        tally.worst("commutativity_deviation", _commutation_gap(diffeo, a[None, :]))
+            apply_point(G @ H, P) - apply_point(G, apply_point(H, P)))))
+    A = np.array([rng.uniform(-0.95, 0.95, size=2) for _ in range(samples - 2 * per_kind)])
+    _commutation_gaps([diffeo] * len(A), A[None], apply_point(diffeo, A), tally)
 
 
 def run_gram_invariance(p: dict, rng: np.random.Generator, tally: Tally):
     """Invariance of the indefinite Gram matrix under the space-time group."""
     spec = KernelSpec.gaussian(3, 1)
     points = rng.normal(scale=p["point_scale"], size=(p["point_count"], 4))
-    # The random sample, then the configured Poincare elements.
-    elements = [random_poincare(rng, max_rapidity=p["max_rapidity"])
-                for _ in range(p["group_samples"])] + p["extra_elements"]
+    # The random sample, built and checked as one stack, then the configured Poincare elements.
+    sample = _poincare_stack([_poincare_draws(rng, p["max_rapidity"]) for _ in range(p["group_samples"])])
+    elements = list(sample) + p["extra_elements"]
     rows = []
     for i, g in enumerate(elements):
         dev = check_gram_invariance(g, points, spec)
@@ -493,7 +486,8 @@ def run_slice_dynamics(p: dict, rng: np.random.Generator, tally: Tally):
     # Galileo transport of 3-dimensional slices preserves the spatial norm.
     packet3 = free_packet(0.9, [0.1, -0.2, 0.3], [0.5, 0.0, 0.2], space_dim=3)
     slice3 = packet3.slice_element(1.0)
-    moved = [galileo_on_slice(random_galileo(rng), slice3) for _ in range(p["galileo_samples"])]
+    galileo = _galileo_stack([_galileo_draws(rng) for _ in range(p["galileo_samples"])])
+    moved = [galileo_on_slice(g, slice3) for g in galileo]
     spatial = [s.jets[0][0] for s in (slice3, *moved)]
     base_norm, *norms = map(real_norm_squared, inner_products([(e, e) for e in spatial], spatial_spec(3)).tolist())
     for value in norms:

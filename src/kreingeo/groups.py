@@ -3,9 +3,10 @@
 Poincare and Galileo elements are affine maps of coordinates (ordering
 (x1, x2, x3, t), timelike coordinate last); expression-based diffeomorphisms
 act on coordinate boxes.  Maps act on a point (m,) or, in one call, on a
-stack of points (n, m).  Any point map extends uniquely to the span of delta
-functionals over a finite point set by delta_a -> delta_{g(a)}, and the
-extension commutes with the embedding by construction.
+stack of points (n, m).  An affine map may be a stack of k maps, built,
+checked and composed in one pass, each with the bits of its element alone.
+Any point map extends uniquely to the span of delta functionals over a finite
+point set by delta_a -> delta_{g(a)}, commuting with the embedding.
 """
 
 import math
@@ -25,24 +26,45 @@ _EYE3 = np.eye(3)
 _ETA4.flags.writeable = _EYE3.flags.writeable = False
 
 
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a 3-axis."""
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0:
-        raise ValueError("rotation axis must be nonzero")
-    if not (math.isfinite(norm) and math.isfinite(angle)):
-        raise ValueError("rotation axis and angle must be finite")
-    k = axis / norm
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return _EYE3 + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+def _reject(bad: np.ndarray, message: str) -> None:
+    """Raise ``message`` if any element is bad; a stack names the index of its first bad element."""
+    if bad.any():
+        raise ValueError(f"{message} (stack index {np.flatnonzero(bad)[0]})" if bad.ndim else message)
+
+
+def _dots(v: np.ndarray) -> np.ndarray:
+    """v . v over the last axis, each row with the bits of its own dot product."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _points(points) -> np.ndarray:
+    """Points as rows (n, m); a flat list is n points on a line."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """Rodrigues rotation about a 3-axis; axes (..., 3) and angles (...) give a stack."""
+    axis, angle = np.asarray(axis, dtype=float), np.asarray(angle, dtype=float)
+    if axis.shape[-1:] != (3,):
+        raise ValueError("rotation axis must be a 3-vector")
+    norm = np.sqrt(_dots(axis))
+    _reject(norm == 0, "rotation axis must be nonzero")
+    _reject(~(np.isfinite(norm) & np.isfinite(angle)), "rotation axis and angle must be finite")
+    k = axis / norm[..., None]
+    K = np.zeros(norm.shape + (3, 3))
+    K[..., 0, 1], K[..., 0, 2], K[..., 1, 2] = -k[..., 2], k[..., 1], -k[..., 0]
+    K[..., 1, 0], K[..., 2, 0], K[..., 2, 1] = k[..., 2], -k[..., 1], k[..., 0]
+    sin, cos = (np.array([f(a) for a in angle.ravel().tolist()]).reshape(angle.shape + (1, 1))
+                for f in (math.sin, math.cos))  # math's: numpy's may differ in the last bit
+    return _EYE3 + sin * K + (1.0 - cos) * (K @ K)
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset on R^m.
+    """x -> matrix @ x + offset on R^m, or a stack of such maps: matrix (..., m, m), offset (..., m).
 
-    Subclasses only check structure; compose and inverse keep the left operand's class.
+    Subclasses only check structure, once per stack; compose and inverse keep the left operand's class.
     """
 
     matrix: np.ndarray
@@ -51,23 +73,31 @@ class AffineMap:
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
         w = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or w.shape != (M.shape[0],):
+        if M.ndim < 2 or M.shape[-1] != M.shape[-2] or w.shape != M.shape[:-1]:
             raise ValueError("affine map needs a square matrix and a matching offset")
-        if not (np.isfinite(M).all() and np.isfinite(w).all()):
-            raise ValueError("affine map needs a finite matrix and offset")
+        _reject(~(np.isfinite(M).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)),
+                "affine map needs a finite matrix and offset")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "offset", w)
 
     @property
     def dim(self) -> int:
-        return self.offset.shape[0]
+        return self.offset.shape[-1]
 
     def apply(self, x) -> np.ndarray:
-        """Image of a point (m,) or, row by row, of a stack (n, m): the same bits either way."""
+        """Image of a point (m,) or, row by row, of a stack (n, m); a stack of k maps takes (k, m) or (n, k, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim > 2 or x.shape[-1] != self.dim:
+        if x.ndim > self.matrix.ndim or x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
-        return np.einsum("ij,...j->...i", self.matrix, x) + self.offset
+        return np.einsum("...ij,...j->...i", self.matrix, x) + self.offset
+
+    def __getitem__(self, i) -> "AffineMap":
+        """Element i of a stack, checked with the stack and not again; a stack iterates over them."""
+        if self.matrix.ndim < 3:
+            raise TypeError("only a stack of affine maps has elements")
+        g = object.__new__(type(self))
+        g.__dict__.update(matrix=self.matrix[i], offset=self.offset[i])
+        return g
 
     def _like(self, matrix, offset) -> "AffineMap":
         """A map of this map's class, checked by that class's structure test."""
@@ -76,29 +106,29 @@ class AffineMap:
         return g
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        return self._like(self.matrix @ other.matrix, self.matrix @ other.offset + self.offset)
+        return self._like(self.matrix @ other.matrix,
+                          (self.matrix @ other.offset[..., None])[..., 0] + self.offset)
 
     __matmul__ = compose
 
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)
-        return self._like(inv, -inv @ self.offset)
+        return self._like(inv, (-inv @ self.offset[..., None])[..., 0])
 
 
 def _boost_matrix(velocity) -> np.ndarray:
-    """Lorentz matrix of the pure boost with velocity |v| < 1 (units with c = 1)."""
-    v = np.atleast_1d(np.asarray(velocity, dtype=float))
-    if v.shape != (3,):
+    """Lorentz matrices of the pure boosts with velocities (..., 3), |v| < 1 (units with c = 1)."""
+    v = np.asarray(velocity, dtype=float)
+    if v.ndim < 1 or v.shape[-1] != 3:
         raise ValueError("boost velocity must be a 3-vector")
-    b2 = float(v @ v)
-    if not b2 < 1.0:
-        raise ValueError("boost speed must be finite and below 1")
-    L = np.eye(4)
-    if b2 > 0.0:
-        gamma = 1.0 / math.sqrt(1.0 - b2)
-        L[:3, :3] += (gamma - 1.0) * np.outer(v, v) / b2
-        L[:3, 3] = L[3, :3] = -gamma * v
-        L[3, 3] = gamma
+    b2 = _dots(v)[..., None]
+    _reject(~(b2[..., 0] < 1.0), "boost speed must be finite and below 1")
+    moving, gamma = b2 > 0.0, 1.0 / np.sqrt(1.0 - b2)  # a boost at rest is the identity
+    L = np.empty(v.shape[:-1] + (4, 4))
+    L[..., :3, :3] = _EYE3 + (gamma[..., None] - 1.0) * (v[..., :, None] * v[..., None, :]) / np.where(
+        moving, b2, 1.0)[..., None]
+    L[..., :3, 3] = L[..., 3, :3] = np.where(moving, -gamma * v, 0.0)
+    L[..., 3, 3] = gamma[..., 0]
     return L
 
 
@@ -107,11 +137,10 @@ class PoincareElement(AffineMap):
 
     def __post_init__(self):
         super().__post_init__()
-        L = self.matrix
-        if L.shape != (4, 4):
+        if (L := self.matrix).shape[-2:] != (4, 4):
             raise ValueError("Poincare element needs a 4x4 matrix and a 4-vector")
-        if np.max(np.abs(L.T @ _ETA4 @ L - _ETA4)) > _ORTHO_TOL:
-            raise ValueError("matrix does not preserve the flat space-time metric")
+        _reject(np.abs(np.swapaxes(L, -1, -2) @ _ETA4 @ L - _ETA4).max(axis=(-2, -1)) > _ORTHO_TOL,
+                "matrix does not preserve the flat space-time metric")
 
     @property
     def lorentz(self) -> np.ndarray:
@@ -126,42 +155,45 @@ class PoincareElement(AffineMap):
         return cls(np.eye(4), shift)
 
     @classmethod
-    def rotation(cls, axis, angle: float) -> "PoincareElement":
-        L = np.eye(4)
-        L[:3, :3] = rotation_matrix(axis, angle)
-        return cls(L, np.zeros(4))
+    def rotation(cls, axis, angle) -> "PoincareElement":
+        return cls(L := _spatial_lorentz(rotation_matrix(axis, angle)), np.zeros(L.shape[:-1]))
 
     @classmethod
     def boost(cls, velocity) -> "PoincareElement":
         """Pure boost with |velocity| < 1 (units with c = 1)."""
-        return cls(_boost_matrix(velocity), np.zeros(4))
+        return cls(L := _boost_matrix(velocity), np.zeros(L.shape[:-1]))
 
     def rapidity(self) -> float:
         """Boost rapidity read off the time-time component."""
         return math.acosh(max(float(self.lorentz[3, 3]), 1.0))
 
 
+def _spatial_lorentz(rotation: np.ndarray) -> np.ndarray:
+    """Lorentz matrices (..., 4, 4) of spatial rotations (..., 3, 3)."""
+    L = np.zeros(rotation.shape[:-2] + (4, 4))
+    L[..., :3, :3], L[..., 3, 3] = rotation, 1.0
+    return L
+
+
 class GalileoElement(AffineMap):
     """(x, t) -> (A x + v t + b, t + c), A orthogonal: matrix [[A, v], [0, 1]], offset (b, c)."""
 
-    def __init__(self, rotation, velocity, shift, time_shift: float = 0.0):
-        A = np.asarray(rotation, dtype=float)
-        v = np.atleast_1d(np.asarray(velocity, dtype=float))
-        b = np.atleast_1d(np.asarray(shift, dtype=float))
-        if A.shape != (3, 3) or v.shape != (3,) or b.shape != (3,):
+    def __init__(self, rotation, velocity, shift, time_shift=0.0):
+        A, v, b, c = (np.asarray(x, dtype=float) for x in (rotation, velocity, shift, time_shift))
+        if A.shape[-2:] != (3, 3) or not v.shape == b.shape == A.shape[:-1] or c.shape != A.shape[:-2]:
             raise ValueError("Galileo element needs a 3x3 matrix and two 3-vectors")
-        M = np.eye(4)
-        M[:3, :3] = A
-        M[:3, 3] = v
-        super().__init__(M, np.append(b, float(time_shift)))
+        M = np.zeros(A.shape[:-2] + (4, 4))
+        M[..., :3, :3], M[..., :3, 3], M[..., 3, 3] = A, v, 1.0
+        super().__init__(M, np.concatenate([b, c[..., None]], axis=-1))
 
     def __post_init__(self):
         super().__post_init__()
-        M = self.matrix
-        if M.shape != (4, 4) or M[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
-            raise ValueError("Galileo element needs the block matrix [[A, v], [0, 1]]")
-        if np.max(np.abs(M[:3, :3].T @ M[:3, :3] - _EYE3)) > _ORTHO_TOL:
-            raise ValueError("rotation part must be orthogonal")
+        # 4x4 by construction: __init__ builds it, and compose and inverse keep it.
+        _reject((self.matrix[..., 3, :] != [0.0, 0.0, 0.0, 1.0]).any(axis=-1),
+                "Galileo element needs the block matrix [[A, v], [0, 1]]")
+        A = self.rotation
+        _reject(np.abs(np.swapaxes(A, -1, -2) @ A - _EYE3).max(axis=(-2, -1)) > _ORTHO_TOL,
+                "rotation part must be orthogonal")
 
     @classmethod
     def identity(cls) -> "GalileoElement":
@@ -169,19 +201,19 @@ class GalileoElement(AffineMap):
 
     @property
     def rotation(self) -> np.ndarray:
-        return self.matrix[:3, :3]
+        return self.matrix[..., :3, :3]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.matrix[:3, 3]
+        return self.matrix[..., :3, 3]
 
     @property
     def shift(self) -> np.ndarray:
-        return self.offset[:3]
+        return self.offset[..., :3]
 
     @property
-    def time_shift(self) -> float:
-        return float(self.offset[3])
+    def time_shift(self):
+        return self.offset[..., 3]
 
 
 @dataclass(frozen=True)
@@ -217,9 +249,7 @@ class DiffeoMap:
 
     def _validate_samples(self):
         axes = [np.linspace(lo, hi, 4) for lo, hi in self.domain]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        samples = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        for u in samples:
+        for u in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim):
             if not self._in_box(self.apply(u, check_domain=False)):
                 raise ValueError(
                     f"map sends the sample point {u.tolist()} outside the domain")
@@ -253,15 +283,13 @@ def apply_point(g: GroupElement, x) -> np.ndarray:
 
 
 def _move_deltas(e: SpaceElement, move, error: type[Exception], who: str) -> SpaceElement:
-    """delta_a -> delta_{move(a)} on a span of zero-order deltas; ``who`` names the map."""
+    """delta_a -> delta_{move(a)} on zero-order deltas; ``move`` maps all bases (n, m), ``who`` names the map."""
     if e.gaussians:
         raise error(f"{who} do not act on Gaussian terms; only delta spans transform")
-    deltas = []
-    for t in e.deltas:
-        if t.order != 0:
-            raise error(f"{who} act on zero-order deltas only")
-        deltas.append(DeltaJetTerm(t.coeff, move(t.base), t.orders))
-    return SpaceElement(e.dim, deltas=tuple(deltas))
+    if any(t.order != 0 for t in e.deltas):
+        raise error(f"{who} act on zero-order deltas only")
+    moved = move(np.array([t.base for t in e.deltas]).reshape(-1, e.dim))
+    return SpaceElement(e.dim, deltas=tuple(DeltaJetTerm(t.coeff, b, t.orders) for t, b in zip(e.deltas, moved)))
 
 
 @dataclass(frozen=True)
@@ -272,12 +300,7 @@ class DeltaSpanOperator:
     targets: np.ndarray
 
     def __post_init__(self):
-        src = np.asarray(self.sources, dtype=float)
-        tgt = np.asarray(self.targets, dtype=float)
-        if src.ndim == 1:
-            src = src[:, None]
-        if tgt.ndim == 1:
-            tgt = tgt[:, None]
+        src, tgt = _points(self.sources), _points(self.targets)
         if src.shape != tgt.shape or src.shape[0] < 1:
             raise ValueError("sources and targets must be matching nonempty point lists")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
@@ -305,23 +328,21 @@ class DeltaSpanOperator:
     def dim(self) -> int:
         return self.sources.shape[1]
 
-    def _match(self, base: np.ndarray) -> int:
-        dist = np.linalg.norm(self.sources - base, axis=1)
-        idx = int(np.argmin(dist))
-        if dist[idx] > 1e-12:
-            raise ValueError(f"delta at {base.tolist()} is outside the operator span")
-        return idx
+    def _match(self, bases: np.ndarray) -> np.ndarray:
+        """Targets of the sources within 1e-12 of the bases (n, m), all matched at once."""
+        dist = np.sqrt(np.square(bases[:, None, :] - self.sources).sum(axis=-1))
+        outside = dist.min(axis=1) > 1e-12
+        if outside.any():
+            raise ValueError(f"delta at {bases[np.argmax(outside)].tolist()} is outside the operator span")
+        return self.targets[dist.argmin(axis=1)]
 
     def apply(self, e: SpaceElement) -> SpaceElement:
-        return _move_deltas(e, lambda base: self.targets[self._match(base)],
-                            ValueError, "span operators")
+        return _move_deltas(e, self._match, ValueError, "span operators")
 
 
 def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
     """Unique linear extension of the point action to the delta span."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(points)
     return DeltaSpanOperator(pts, apply_point(g, pts))
 
 
@@ -337,7 +358,7 @@ def act_on_element(op, e: SpaceElement) -> SpaceElement:
     if isinstance(op, AffineMap):
         return e.pushforward_affine(op.matrix, op.offset)
     if isinstance(op, DiffeoMap):
-        return _move_deltas(e, op.apply, NonAffineMapError, "non-affine maps")
+        return _move_deltas(e, lambda bases: apply_point(op, bases), NonAffineMapError, "non-affine maps")
     raise TypeError(f"cannot act with object of type {type(op).__name__}")
 
 
@@ -345,9 +366,7 @@ def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float:
     """Max absolute change of the kernel Gram matrix under the point action."""
     if spec.family != GAUSSIAN:
         raise ValueError("Gram invariance checks use the gaussian family")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(points)
     if pts.shape[1] != spec.dim:
         raise ValueError("points do not match the kernel dimension")
     if getattr(g, "dim", None) != spec.dim:
@@ -393,27 +412,22 @@ def parse_group_element(record: dict) -> GroupElement:
 
     Poincare keys combine (rotation first, then boost, then translation).
     """
-    poincare_keys = {"boost", "rotation", "translation"}
     keys = set(record)
     if keys == {"galileo"}:
         spec = record["galileo"]
-        unknown = set(spec) - {"axis", "angle", "v", "b", "c"}
-        if unknown:
-            raise ValueError(f"unknown galileo keys: {sorted(unknown)}")
-        rotation = (rotation_matrix(spec["axis"], float(spec["angle"]))
-                    if "axis" in spec else np.eye(3))
+        _check_keys(spec, "galileo", {"axis", "angle", "v", "b", "c"},
+                    {"axis", "angle"} if {"axis", "angle"} & set(spec) else set())
+        rotation = rotation_matrix(spec["axis"], float(spec["angle"])) if "axis" in spec else np.eye(3)
         return GalileoElement(rotation, spec.get("v", np.zeros(3)), spec.get("b", np.zeros(3)),
                               spec.get("c", 0.0))
     if keys == {"diffeo"}:
         spec = record["diffeo"]
-        unknown = set(spec) - {"maps", "domain"}
-        if unknown:
-            raise ValueError(f"unknown diffeo keys: {sorted(unknown)}")
+        _check_keys(spec, "diffeo", {"maps", "domain"}, {"maps", "domain"})
         return DiffeoMap.from_strings(spec["maps"], spec["domain"])
-    if keys and keys <= poincare_keys:
+    if keys and keys <= {"boost", "rotation", "translation"}:
         element = PoincareElement.identity()
         if "rotation" in record:
-            rot = record["rotation"]
+            _check_keys(rot := record["rotation"], "rotation", {"axis", "angle"}, {"axis", "angle"})
             element = PoincareElement.rotation(rot["axis"], float(rot["angle"])) @ element
         if "boost" in record:
             element = PoincareElement.boost(record["boost"]) @ element
@@ -423,30 +437,52 @@ def parse_group_element(record: dict) -> GroupElement:
     raise ValueError(f"unrecognized group element config with keys {sorted(keys)}")
 
 
+def _check_keys(spec: dict, kind: str, known: set, required: set) -> None:
+    """Reject a record with a key outside ``known`` or without one of ``required``."""
+    for keys, what in ((set(spec) - known, "unknown"), (required - set(spec), "missing")):
+        if keys:
+            raise ValueError(f"{what} {kind} keys: {sorted(keys)}")
+
+
+def _draw_axis(rng: np.random.Generator) -> np.ndarray:
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-6:
+        axis = rng.normal(size=3)
+    return axis
+
+
+def _poincare_draws(rng, max_rapidity: float = 2.0, translation_scale: float = 1.0) -> tuple:
+    """One random Poincare element's draws, in order: axis, angle, rapidity, direction, shift."""
+    return (_draw_axis(rng), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, max_rapidity),
+            rng.normal(size=3), rng.normal(scale=translation_scale, size=4))
+
+
+def _poincare_stack(draws) -> PoincareElement:
+    """The stack of rotation * boost * translation elements, one per draw of ``_poincare_draws``."""
+    axes, angles, rapidities, directions, shifts = map(np.array, zip(*draws))
+    speeds = np.array([math.tanh(r) for r in rapidities.tolist()])[:, None]  # np.tanh differs
+    velocities = speeds * (directions / np.sqrt(_dots(directions))[:, None])
+    return PoincareElement(_spatial_lorentz(rotation_matrix(axes, angles)) @ _boost_matrix(velocities),
+                           shifts)
+
+
+def _galileo_draws(rng) -> tuple:
+    """One random Galileo element's draws, in order: axis, angle, velocity, shift, time shift."""
+    return (_draw_axis(rng), rng.uniform(0.0, 2.0 * math.pi), rng.normal(scale=0.7, size=3),
+            rng.normal(scale=1.0, size=3), rng.normal(scale=0.8))
+
+
+def _galileo_stack(draws) -> GalileoElement:
+    """The stack of Galileo elements, one per draw of ``_galileo_draws``."""
+    axes, angles, velocities, shifts, time_shifts = map(np.array, zip(*draws))
+    return GalileoElement(rotation_matrix(axes, angles), velocities, shifts, time_shifts)
+
+
 def random_poincare(rng: np.random.Generator, max_rapidity: float = 2.0,
                     translation_scale: float = 1.0) -> PoincareElement:
     """Random rotation * boost * translation with bounded rapidity."""
-    axis = rng.normal(size=3)
-    while np.linalg.norm(axis) < 1e-6:
-        axis = rng.normal(size=3)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    rap = rng.uniform(0.0, max_rapidity)
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    velocity = math.tanh(rap) * direction
-    rotation = np.eye(4)
-    rotation[:3, :3] = rotation_matrix(axis, angle)
-    return PoincareElement(rotation @ _boost_matrix(velocity),
-                           rng.normal(scale=translation_scale, size=4))
+    return _poincare_stack([_poincare_draws(rng, max_rapidity, translation_scale)])[0]
 
 
 def random_galileo(rng: np.random.Generator) -> GalileoElement:
-    axis = rng.normal(size=3)
-    while np.linalg.norm(axis) < 1e-6:
-        axis = rng.normal(size=3)
-    return GalileoElement(
-        rotation_matrix(axis, rng.uniform(0.0, 2.0 * math.pi)),
-        rng.normal(scale=0.7, size=3),
-        rng.normal(scale=1.0, size=3),
-        float(rng.normal(scale=0.8)),
-    )
+    return _galileo_stack([_galileo_draws(rng)])[0]

@@ -337,3 +337,19 @@ def test_circle_topology_runs_fast(tmp_path):
     report = run_experiment(cfg)
     assert report.passed
     assert (tmp_path / "circle_topology.csv").exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"rotation": {"axis": [0, 0, 1], "angle": 1, "foo": 2}}, "unknown rotation keys: ['foo']"),
+    ({"rotation": {"axis": [0, 0, 1]}}, "missing rotation keys: ['angle']"),
+    ({"rotation": {"angle": 1}}, "missing rotation keys: ['axis']"),
+    ({"rotation": {"axis": [0, 1], "angle": 1}}, "rotation axis must be a 3-vector"),
+])
+def test_a_malformed_rotation_record_gives_exit_two(runner, tmp_path, record, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": {"extra_elements": [record]}}), encoding="utf-8")
+    result = runner.invoke(main, ["gram-invariance", "--config", str(path),
+                                  "--out", str(tmp_path / "results")])
+    assert result.exit_code == 2
+    assert f"config error: parameters.extra_elements: {message}" in result.output
+    assert not (tmp_path / "results").exists()

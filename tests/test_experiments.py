@@ -1,5 +1,5 @@
-"""The tally that reduces per-case values, NaN cases end to end, and the
-pair-engine passes of slice-dynamics.
+"""The tally that reduces per-case values, NaN cases end to end, the
+pair-engine passes of slice-dynamics and gram-invariance's stacked group law.
 
 A NaN per-case value must fail its measurement: a running ``max`` started
 at 0.0 drops it, and a count of ``x <= 0.0`` does not count it.
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kreingeo import algebra, experiments
+from kreingeo import algebra, experiments, groups
 from kreingeo.cli import main
 from kreingeo.dynamics import SLICE_METRICS, slice_inner_product
 from kreingeo.experiments import (EXPERIMENTS, ExperimentConfig, Tally, emit_report,
                                   run_experiment)
+from kreingeo.geometry import embed_delta
+from kreingeo.groups import DiffeoMap, act_on_element, apply_point, extend_to_span
 
 
 @pytest.mark.parametrize("values", [
@@ -149,3 +151,102 @@ def test_slice_dynamics_makes_a_few_pair_engine_passes(tmp_path, monkeypatch):
     calls.clear()
     assert _slice_dynamics_outputs(tmp_path / "looped") == batched
     assert len(calls) > 100
+
+
+# gram-invariance's group-law samples: stacked, with the tally of the
+# per-sample loop below.
+
+def _rotation(axis, angle):
+    """Rodrigues, one axis at a time, in scalar arithmetic."""
+    k = axis / np.linalg.norm(axis)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def _random_poincare(rng):
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-6:
+        axis = rng.normal(size=3)
+    angle, rap = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0)
+    direction = rng.normal(size=3)
+    v = math.tanh(rap) * (direction / np.linalg.norm(direction))
+    b2 = float(v @ v)
+    boost, gamma = np.eye(4), 1.0 / math.sqrt(1.0 - b2)
+    boost[:3, :3] += (gamma - 1.0) * np.outer(v, v) / b2
+    boost[:3, 3] = boost[3, :3] = -gamma * v
+    boost[3, 3] = gamma
+    rotation = np.eye(4)
+    rotation[:3, :3] = _rotation(axis, angle)
+    return groups.PoincareElement(rotation @ boost, rng.normal(size=4))
+
+
+def _random_galileo(rng):
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-6:
+        axis = rng.normal(size=3)
+    return groups.GalileoElement(_rotation(axis, rng.uniform(0.0, 2.0 * math.pi)), rng.normal(scale=0.7, size=3),
+                                 rng.normal(scale=1.0, size=3), rng.normal(scale=0.8))
+
+
+def _per_sample_group_law(rng, samples, tally):
+    """One element at a time: each g and h built by the scalar formulas above, checked and composed alone."""
+    def gap(g, pts):
+        image = act_on_element(extend_to_span(g, pts), embed_delta(pts[0]))
+        return float(np.max(np.abs(image.deltas[0].base - apply_point(g, pts[0]))))
+
+    diffeo = DiffeoMap.from_strings(["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
+                                    [(-1.0, 1.0), (-1.0, 1.0)])
+    per_kind = samples // 3
+    for _ in range(per_kind):
+        g = _random_poincare(rng)
+        a = rng.normal(scale=0.8, size=4)
+        pts = np.vstack([a, a + rng.normal(scale=1.0, size=4)])
+        tally.worst("commutativity_deviation", gap(g, pts))
+        h = _random_poincare(rng)
+        tally.worst("composition_deviation", np.max(np.abs(
+            apply_point(g @ h, pts) - apply_point(g, apply_point(h, pts)))))
+    for _ in range(per_kind):
+        g = _random_galileo(rng)
+        a = rng.normal(scale=0.8, size=4)
+        tally.worst("commutativity_deviation", gap(g, a[None, :]))
+        h = _random_galileo(rng)
+        tally.worst("composition_deviation", np.max(np.abs(
+            apply_point(g @ h, a) - apply_point(g, apply_point(h, a)))))
+    for _ in range(samples - 2 * per_kind):
+        a = rng.uniform(-0.95, 0.95, size=2)
+        tally.worst("commutativity_deviation", gap(diffeo, a[None, :]))
+
+
+@pytest.mark.parametrize("seed, samples", [(s, 1000) for s in range(12)]
+                         + [(0, n) for n in (3, 4, 5, 1001)] + [(5, 4), (9, 1001)])
+def test_stacked_group_law_keeps_the_per_sample_tally(seed, samples):
+    stacked, alone = Tally(), Tally()
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    experiments._commutativity_and_composition(rng, samples, stacked)
+    _per_sample_group_law(replay, samples, alone)
+    assert list(stacked.values) == ["commutativity_deviation", "composition_deviation"]
+    assert stacked.values == alone.values  # == on both values
+    assert np.array_equal(rng.normal(size=8), replay.normal(size=8))  # the same draws
+
+
+def test_stacked_group_law_checks_each_element_and_sample_once(monkeypatch):
+    checked, spans, acts = {}, [], []
+
+    def counting(cls):
+        check = cls.__post_init__
+
+        def post_init(self):
+            checked[cls.__name__] = checked.get(cls.__name__, 0) + len(self.matrix.reshape(-1, 4, 4))
+            check(self)
+        return post_init
+
+    for cls in (groups.PoincareElement, groups.GalileoElement):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    monkeypatch.setattr(experiments, "extend_to_span", lambda g, p: spans.append(g) or extend_to_span(g, p))
+    monkeypatch.setattr(experiments, "act_on_element", lambda op, e: acts.append(op) or act_on_element(op, e))
+    experiments._commutativity_and_composition(np.random.default_rng(0), 1001, Tally())
+    # g, h and g @ h of each of the 333 samples per kind, each checked once.
+    assert checked == {"PoincareElement": 3 * 333, "GalileoElement": 3 * 333}
+    assert len(spans) == len(acts) == 1001
+    assert [type(g).__name__ for g in spans[::333]] == ["PoincareElement", "GalileoElement",
+                                                         "DiffeoMap", "DiffeoMap"]

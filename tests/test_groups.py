@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreingeo.algebra import inner_product
 from kreingeo.elements import SpaceElement
@@ -471,3 +473,159 @@ def test_coincident_sources_are_rejected():
 def test_lorentz_metric_constant_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         groups._ETA4[0, 0] = 2.0
+
+
+def test_span_operator_names_the_first_delta_outside_its_span():
+    pts = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 1], [0.0, 2, 0, 0]])
+    op = extend_to_span(PoincareElement.boost([0.6, 0.0, 0.0]), pts)
+    inside = embed_delta(pts[2]) * 3.0 + embed_delta(pts[0]) + embed_delta(pts[1]) * 1j
+    out = op.apply(inside)
+    for term, p in zip(out.deltas, pts[[2, 0, 1]]):
+        assert np.array_equal(term.base, op.targets[np.flatnonzero((pts == p).all(axis=1))[0]])
+    near = pts[1] + 1e-13  # within the 1e-12 rule
+    assert np.array_equal(op.apply(embed_delta(near)).deltas[0].base, op.targets[1])
+    with pytest.raises(ValueError, match="outside the operator span"):
+        op.apply(embed_delta(pts[1] + [2e-12, 0, 0, 0]))
+    outside = embed_delta(pts[0]) + embed_delta([0.0, 0, 3, 0]) + embed_delta([0.0, 0, 4, 0])
+    with pytest.raises(ValueError, match=r"delta at \[0.0, 0.0, 3.0, 0.0\] is outside"):
+        op.apply(outside)
+
+
+# Config records: unknown and missing keys are errors that name the key.
+
+@pytest.mark.parametrize("record, message", [
+    ({"rotation": {"axis": [0, 0, 1], "angle": 1, "foo": 2}}, r"unknown rotation keys: \['foo'\]"),
+    ({"rotation": {"axis": [0, 0, 1]}}, r"missing rotation keys: \['angle'\]"),
+    ({"rotation": {"angle": 1}, "boost": [0.1, 0, 0]}, r"missing rotation keys: \['axis'\]"),
+    ({"galileo": {"axis": [0, 0, 1], "v": [1, 0, 0]}}, r"missing galileo keys: \['angle'\]"),
+    ({"galileo": {"angle": 0.5}}, r"missing galileo keys: \['axis'\]"),
+    ({"diffeo": {"maps": ["u1"]}}, r"missing diffeo keys: \['domain'\]"),
+    ({"diffeo": {"domain": [[-1, 1]]}}, r"missing diffeo keys: \['maps'\]"),
+    ({"rotation": {"axis": [0, 1], "angle": 1}}, "rotation axis must be a 3-vector"),
+    ({"galileo": {"axis": [0, 0, 1, 0], "angle": 1}}, "rotation axis must be a 3-vector"),
+])
+def test_parse_group_element_rejects_unknown_and_missing_keys(record, message):
+    with pytest.raises(ValueError, match=message):
+        parse_group_element(record)
+
+
+# Stacks of affine maps: one build and one check for k elements, each row
+# with the bits of the element built alone.
+
+_finite = st.floats(-3.0, 3.0, allow_nan=False)
+_axis = st.tuples(_finite, _finite, _finite).filter(lambda v: np.linalg.norm(v) > 1e-3)
+_angle = st.floats(0.0, 2.0 * math.pi)
+_poincare_draw = st.tuples(_axis, _angle, st.floats(0.0, 2.0), _axis,
+                           st.tuples(_finite, _finite, _finite, _finite))
+_galileo_draw = st.tuples(_axis, _angle, st.tuples(_finite, _finite, _finite),
+                          st.tuples(_finite, _finite, _finite), _finite)
+
+
+def _single_poincare(axis, angle, rapidity, direction, shift):
+    direction = np.asarray(direction, dtype=float)
+    velocity = math.tanh(rapidity) * (direction / np.linalg.norm(direction))
+    lorentz = (PoincareElement.rotation(axis, angle) @ PoincareElement.boost(velocity)).lorentz
+    return PoincareElement(lorentz, shift)
+
+
+def _single_galileo(axis, angle, velocity, shift, time_shift):
+    return GalileoElement(groups.rotation_matrix(axis, angle), velocity, shift, time_shift)
+
+
+def _same_map(a, b, points):
+    assert np.array_equal(a.matrix, b.matrix) and np.array_equal(a.offset, b.offset)
+    assert np.array_equal(a.apply(points), b.apply(points))
+    assert np.array_equal(apply_point(a, points), apply_point(b, points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_poincare_draw, min_size=1, max_size=8), st.lists(_galileo_draw, min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_each_stack_row_is_the_element_built_alone(p_draws, g_draws, seed):
+    rng = np.random.default_rng(seed)
+    for draws, stack, single in ((p_draws, groups._poincare_stack, _single_poincare),
+                                 (g_draws, groups._galileo_stack, _single_galileo)):
+        G = stack([tuple(np.asarray(x, dtype=float) for x in d) for d in draws])
+        k = len(draws)
+        H = G[rng.permutation(k)]
+        points = rng.normal(scale=2.0, size=(3, k, 4))
+        images, composed = apply_point(G, points), G @ H
+        assert type(composed) is type(G) and type(G[0]) is type(G)
+        for i, d in enumerate(draws):
+            g, h = single(*d), G[i]
+            _same_map(G[i], g, points[:, i])
+            assert np.array_equal(images[:, i], apply_point(g, points[:, i]))
+            _same_map(composed[i], g @ H[i], points[:, i])
+            assert np.array_equal(composed.apply(points)[:, i], (g @ H[i]).apply(points[:, i]))
+            _same_map(h @ H[i], g @ H[i], points[:, i])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poincare_draw, min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_stacked_elements_keep_the_indefinite_gram_matrix(draws, seed):
+    G = groups._poincare_stack([tuple(np.asarray(x, dtype=float) for x in d) for d in draws])
+    points = np.random.default_rng(seed).normal(scale=0.7, size=(4, 4))
+    scale = max(1.0, float(np.max(np.abs(gram_matrix(points, SPEC31)))))
+    for i in range(len(draws)):
+        assert check_gram_invariance(G[i], points, SPEC31) <= 1e-11 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poincare_draw, min_size=1, max_size=8), st.lists(_galileo_draw, min_size=1, max_size=8),
+       st.data())
+def test_a_stack_with_one_bad_matrix_names_its_index(p_draws, g_draws, data):
+    G = groups._poincare_stack([tuple(np.asarray(x, dtype=float) for x in d) for d in p_draws])
+    # Every element from ``bad`` on fails: the first of them is named.
+    bad = data.draw(st.integers(0, len(p_draws) - 1))
+    lorentz = G.lorentz.copy()
+    lorentz[bad:] = np.diag([1.5, 1.0, 1.0, 1.0]) @ lorentz[bad:]
+    with pytest.raises(ValueError, match=rf"preserve the flat space-time metric \(stack index {bad}\)$"):
+        PoincareElement(lorentz, G.offset)
+    H = groups._galileo_stack([tuple(np.asarray(x, dtype=float) for x in d) for d in g_draws])
+    bad = data.draw(st.integers(0, len(g_draws) - 1))
+    rotation = H.rotation.copy()
+    rotation[bad:, 0] *= 1.01
+    with pytest.raises(ValueError, match=rf"must be orthogonal \(stack index {bad}\)$"):
+        GalileoElement(rotation, H.velocity, H.shift, H.offset[:, 3])
+    matrix = H.matrix.copy()
+    matrix[bad:, 3, 0] = 0.5
+    with pytest.raises(ValueError, match=rf"block matrix \[\[A, v\], \[0, 1\]\] \(stack index {bad}\)$"):
+        H._like(matrix, H.offset)
+    offset = H.offset.copy()
+    offset[bad:, 2] = math.nan
+    with pytest.raises(ValueError, match=rf"finite matrix and offset \(stack index {bad}\)$"):
+        AffineMap(H.matrix, offset)
+
+
+def test_a_single_map_is_not_a_stack():
+    g = PoincareElement.boost([0.3, 0.0, 0.0])
+    with pytest.raises(TypeError, match="only a stack"):
+        g[0]
+    with pytest.raises(ValueError, match=r"metric$"):
+        PoincareElement(np.diag([2.0, 1.0, 1.0, 1.0]), np.zeros(4))
+
+
+def test_stacked_constructors_match_their_single_calls():
+    axes = np.array([[0.0, 0.0, 1.0], [1.0, -2.0, 0.5], [0.3, 0.1, -0.2]])
+    angles = np.array([0.7, -2.5, 4.0])
+    velocities = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.1, -0.5, 0.3]])
+    rotations, boosts = PoincareElement.rotation(axes, angles), PoincareElement.boost(velocities)
+    for i in range(3):
+        assert np.array_equal(rotations[i].lorentz, PoincareElement.rotation(axes[i], angles[i]).lorentz)
+        assert np.array_equal(boosts[i].lorentz, PoincareElement.boost(velocities[i]).lorentz)
+    assert np.array_equal(boosts[0].lorentz, np.eye(4))  # a boost at rest
+    assert not np.signbit(boosts[0].lorentz).any()
+    with pytest.raises(ValueError, match=r"below 1 \(stack index 1\)$"):
+        PoincareElement.boost(velocities * [[1.0], [2.0], [1.0]])
+    with pytest.raises(ValueError, match=r"nonzero \(stack index 2\)$"):
+        groups.rotation_matrix(axes * [[1.0], [1.0], [0.0]], angles)
+
+
+def test_random_elements_draw_then_build():
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    g, h = random_poincare(rng, max_rapidity=1.5, translation_scale=0.5), random_galileo(rng)
+    G = groups._poincare_stack([groups._poincare_draws(replay, 1.5, 0.5)])
+    H = groups._galileo_stack([groups._galileo_draws(replay)])
+    _same_map(g, G[0], np.ones(4))
+    _same_map(h, H[0], np.ones(4))
+    assert np.array_equal(rng.normal(size=3), replay.normal(size=3))
