@@ -9,11 +9,12 @@ A :class:`SpaceElement` is a finite linear combination of
 
 The monomial factor z^poly keeps the family closed under coordinate
 multiplication, differentiation and Hamiltonian application; inner products
-remain closed-form Gaussian moment integrals.
+remain closed-form Gaussian moment integrals.  Gaussian terms can be built
+one at a time or, by :func:`gaussian_terms`, as one stack whose rules run
+once over all its terms; each term is the one the single constructor makes.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +27,82 @@ JET_ORDER_CAP = 2
 _SYM_TOL = 1e-12
 
 
-def _as_complex_matrix(m, p: int) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.shape != (p, p):
+def _reject(bad: np.ndarray, message: str) -> None:
+    """Raise ``message`` if any element is bad; a stack names the index of its first bad element.
+
+    A 0-d flag is tested without ``.any()``, which costs a microsecond on a numpy scalar.
+    """
+    if bad.ndim:
+        if bad.any():
+            raise ValueError(f"{message} (stack index {np.flatnonzero(bad)[0]})")
+    elif bad:
+        raise ValueError(message)
+
+
+def _powers(values, shape: tuple, what: str) -> np.ndarray:
+    """Monomial powers or derivative orders of the given shape as ints, each whole and nonnegative."""
+    k = np.asarray(values)
+    if k.shape != shape:
+        raise ValueError(f"{what} must match the dimension")
+    if k.dtype.kind not in "biu":
+        if k.dtype.kind != "f":
+            raise ValueError(f"{what} must be whole numbers, not {values!r}")
+        whole = np.isfinite(k) & (np.trunc(k) == k)
+        if not whole.all():
+            _reject(~whole.all(axis=-1), f"{what} must be whole numbers, not {float(k[~whole][0])!r}")
+    k = k.astype(int, copy=False)
+    if min(k.ravel().tolist(), default=0) < 0:  # a Python min is quicker on a few powers
+        _reject(k.min(axis=-1) < 0, f"{what} must be nonnegative")
+    return k
+
+
+def _check_gaussians(coeff, quad: np.ndarray, lin: np.ndarray, poly):
+    """The rules of a Gaussian term, run once over one term or a stack of n.
+
+    ``coeff`` is one complex number or (n,), ``lin`` (p,) or (n, p) and
+    ``quad`` (p, p) or (n, p, p), all complex; ``poly`` holds powers shaped
+    like ``lin``, or is None for none.  Returns the symmetrised forms and the
+    powers as ints (None for none).
+    """
+    if lin.shape[:-1] != getattr(coeff, "shape", ()):
+        raise ValueError(f"linear part must be one vector per term, not of shape {lin.shape}")
+    p = lin.shape[-1]
+    if quad.shape != lin.shape + (p,):
         raise ValueError(f"quadratic form must be {p}x{p}")
-    size = float(np.max(np.abs(a)))
-    if not math.isfinite(size):
-        raise ValueError("quadratic form must be finite")
-    scale = max(1.0, size)
-    if np.max(np.abs(a - a.T)) > _SYM_TOL * scale:
-        raise ValueError("quadratic form must be symmetric")
-    return 0.5 * (a + a.T)
+    size = np.abs(quad).max(axis=(-2, -1))
+    _reject(~(size < np.inf), "quadratic form must be finite")
+    _reject(np.abs(quad - quad.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYM_TOL * np.maximum(1.0, size),
+            "quadratic form must be symmetric")
+    _reject(~(np.isfinite(coeff) & np.isfinite(lin).all(axis=-1)),
+            "Gaussian term coefficient and linear part must be finite")
+    powers = None if poly is None else _powers(poly, lin.shape, "monomial powers")
+    quad = 0.5 * (quad + quad.swapaxes(-1, -2))
+    _reject(np.linalg.eigvalsh(quad.real).T[0] <= 0.0,  # the smallest eigenvalue of each form
+            "real part of the quadratic form must be positive definite")
+    return quad, powers
+
+
+def _unchecked(coeff: complex, quad: np.ndarray, lin: np.ndarray, poly: tuple) -> "GaussianTerm":
+    """A Gaussian term from parts that have passed its rules."""
+    term = object.__new__(GaussianTerm)
+    term.__dict__.update(coeff=coeff, quad=quad, lin=lin, poly=poly)  # frozen: set through the instance dict
+    return term
+
+
+def gaussian_terms(coeffs, quads, lins, polys=None) -> tuple["GaussianTerm", ...]:
+    """n Gaussian terms from coefficients (n,), forms (n, p, p), linear parts (n, p) and powers.
+
+    ``polys`` is (n, p) or None for no monomials.  Each rule of
+    :class:`GaussianTerm` runs once over the stack; a failing stack names its
+    first bad term as "(stack index i)".
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 1:
+        raise ValueError("a stack of Gaussian terms needs one coefficient per term")
+    lins = np.asarray(lins, dtype=complex)
+    quads, powers = _check_gaussians(coeffs, np.asarray(quads, dtype=complex), lins, polys)
+    rows = [(0,) * lins.shape[-1]] * len(coeffs) if powers is None else map(tuple, powers.tolist())
+    return tuple(map(_unchecked, coeffs.tolist(), quads, lins, rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,22 +116,12 @@ class GaussianTerm:
 
     def __post_init__(self):
         coeff = complex(self.coeff)
-        lin = np.atleast_1d(np.asarray(self.lin, dtype=complex))
-        p = lin.shape[0]
-        quad = _as_complex_matrix(self.quad, p)
-        if not (cmath.isfinite(coeff) and np.isfinite(lin).all()):
-            raise ValueError("Gaussian term coefficient and linear part must be finite")
-        poly = tuple(int(k) for k in self.poly) if self.poly else (0,) * p
-        if len(poly) != p:
-            raise ValueError("monomial powers must match the dimension")
-        if any(k < 0 for k in poly):
-            raise ValueError("monomial powers must be nonnegative")
-        if np.linalg.eigvalsh(quad.real)[0] <= 0.0:
-            raise ValueError("real part of the quadratic form must be positive definite")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "poly", poly)
+        lin, quad = np.asarray(self.lin, dtype=complex), np.asarray(self.quad, dtype=complex)
+        lin = lin.reshape(1) if lin.ndim == 0 else lin
+        quad, poly = _check_gaussians(coeff, quad.reshape(1, 1) if quad.ndim == 0 else quad,
+                                      lin, self.poly or None)
+        self.__dict__.update(coeff=coeff, quad=quad, lin=lin,
+                             poly=(0,) * lin.shape[0] if poly is None else tuple(poly.tolist()))
 
     @property
     def dim(self) -> int:
@@ -82,12 +136,8 @@ class GaussianTerm:
         coeff = complex(coeff)
         if not cmath.isfinite(coeff):
             raise ValueError("Gaussian term coefficient must be finite")
-        twin = object.__new__(GaussianTerm)
-        object.__setattr__(twin, "coeff", coeff)
-        object.__setattr__(twin, "quad", self.quad if quad is None else quad)
-        object.__setattr__(twin, "lin", self.lin if lin is None else lin)
-        object.__setattr__(twin, "poly", self.poly if poly is None else poly)
-        return twin
+        return _unchecked(coeff, self.quad if quad is None else quad, self.lin if lin is None else lin,
+                          self.poly if poly is None else poly)
 
     def scaled(self, factor: complex) -> "GaussianTerm":
         return self._sibling(self.coeff * factor)
@@ -108,13 +158,12 @@ class DeltaJetTerm:
     orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        base = np.atleast_1d(np.asarray(self.base, dtype=float))
+        base = np.asarray(self.base, dtype=float)
+        base = base.reshape(1) if base.ndim == 0 else base
+        if base.ndim != 1:
+            raise ValueError(f"base point must be one vector, not of shape {base.shape}")
         p = base.shape[0]
-        orders = tuple(int(k) for k in self.orders) if self.orders else (0,) * p
-        if len(orders) != p:
-            raise ValueError("derivative orders must match the dimension")
-        if any(k < 0 for k in orders):
-            raise ValueError("derivative orders must be nonnegative")
+        orders = tuple(_powers(self.orders, (p,), "derivative orders").tolist()) if self.orders else (0,) * p
         if sum(orders) > JET_ORDER_CAP:
             raise ValueError(f"total jet order exceeds the cap of {JET_ORDER_CAP}")
         if not np.all(np.isfinite(base)):
@@ -147,6 +196,12 @@ class SpaceElement:
     deltas: tuple[DeltaJetTerm, ...] = ()
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            if not float(self.dim).is_integer():
+                raise ValueError(f"ambient dimension must be a whole number, not {self.dim!r}")
+            object.__setattr__(self, "dim", int(self.dim))
+        if self.dim < 1:
+            raise ValueError("ambient dimension must be at least 1")
         object.__setattr__(self, "gaussians", tuple(self.gaussians))
         object.__setattr__(self, "deltas", tuple(self.deltas))
         for t in self.gaussians:
@@ -348,7 +403,7 @@ class SpaceElement:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SpaceElement":
-        dim = int(record["dim"])
+        dim = record["dim"]
 
         def c(pair):
             return complex(pair[0], pair[1])

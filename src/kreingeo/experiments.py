@@ -25,7 +25,7 @@ from .catalog import builtin
 from .dynamics import (SLICE_METRICS, PerturbedPath, TimeSlicedElement, coherent_state, free_packet,
                        galileo_on_slice, path_velocity, pde_residual_fd,
                        schrodinger_residual, slice_inner_products, spatial_spec)
-from .elements import GaussianTerm, SpaceElement
+from .elements import GaussianTerm, SpaceElement, gaussian_terms
 from .errors import DivergentNormError, KernelSpaceError, ReportError
 from .geometry import (PulledBackKernel, chordal_distance, embed_delta,
                        induced_metric)
@@ -538,19 +538,47 @@ def _random_convergent_element(rng: np.random.Generator, dim: int) -> SpaceEleme
     return SpaceElement(dim, tuple(terms))
 
 
-def _random_parity_element(rng: np.random.Generator, odd: bool) -> SpaceElement:
-    """Random even or odd element of the one-dimensional time toy."""
-    sig = Signature(0, 1)
-    element = SpaceElement.zero(1)
-    for _ in range(rng.integers(1, 3)):
-        a = rng.uniform(2.4, 5.0) + 1j * rng.uniform(-0.8, 0.8)
-        b = (rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-             + 1j * rng.normal(scale=0.5))
-        coeff = rng.normal() + 1j * rng.normal()
-        term = SpaceElement.gaussian([[a]], lin=[b], coeff=coeff)
-        mirrored = term.reflected(sig)
-        element = element + (term - mirrored if odd else term + mirrored)
-    return element
+def _boundary_elements(rng: np.random.Generator, count: int) -> list[SpaceElement]:
+    """Gaussians of the time toy on both sides of the divergence boundary, checked as one stack.
+
+    With the toy kernel the combined form's min eigenvalue is a - 2: > 0
+    (convergent) for even i, <= 0 for odd i.
+    """
+    draws = []
+    for i in range(count):
+        a = rng.uniform(2.2, 6.0) if i % 2 == 0 else rng.uniform(0.3, 2.0)
+        draws.append((complex(a, rng.uniform(-0.5, 0.5)), rng.normal(scale=0.3)))
+    quads, lins = zip(*draws)
+    terms = gaussian_terms(np.ones(count), np.reshape(quads, (-1, 1, 1)), np.reshape(lins, (-1, 1)))
+    return [SpaceElement(1, (t,)) for t in terms]
+
+
+def _parity_elements(rng: np.random.Generator, samples: int) -> list[SpaceElement]:
+    """Each sample's random even and odd element of the one-dimensional time toy.
+
+    All terms are drawn first, in the order of a term-by-term build, and
+    checked as one stack.  Each element holds its terms t and their mirror
+    images t(-x), negated in an odd element as subtraction would negate them.
+    """
+    counts, draws = [], []
+    for _ in range(2 * samples):
+        counts.append(rng.integers(1, 3))
+        for _ in range(counts[-1]):
+            a = rng.uniform(2.4, 5.0) + 1j * rng.uniform(-0.8, 0.8)
+            b = (rng.uniform(0.2, 1.0) * (-1.0, 1.0)[rng.integers(0, 2)]
+                 + 1j * rng.normal(scale=0.5))
+            draws.append((a, b, rng.normal() + 1j * rng.normal()))
+    quads, lins, coeffs = zip(*draws)
+    terms = gaussian_terms(coeffs, np.reshape(quads, (-1, 1, 1)), np.reshape(lins, (-1, 1)))
+    sig, elements, start = Signature(0, 1), [], 0
+    for i, count in enumerate(counts):
+        parts = []
+        for t in terms[start:start + count]:
+            mirrored = t.reflected(sig)
+            parts += [t, mirrored.scaled(complex(-1.0)) if i % 2 else mirrored]
+        elements.append(SpaceElement(1, tuple(parts)))
+        start += count
+    return elements
 
 
 def run_oracle_check(p: dict, rng: np.random.Generator, tally: Tally):
@@ -581,11 +609,7 @@ def run_oracle_check(p: dict, rng: np.random.Generator, tally: Tally):
 
     # DivergentNorm fires exactly when the combined form loses definiteness.
     toy = KernelSpec.gaussian(0, 1)
-    for i in range(p["boundary_cases"]):
-        # The min eigenvalue a - 2 is > 0 (convergent) for even i, <= 0 for odd i.
-        a = rng.uniform(2.2, 6.0) if i % 2 == 0 else rng.uniform(0.3, 2.0)
-        a = complex(a, rng.uniform(-0.5, 0.5))
-        e = SpaceElement.gaussian([[a]], lin=[rng.normal(scale=0.3)])
+    for i, e in enumerate(_boundary_elements(rng, p["boundary_cases"])):
         predicted_divergent = combined_form_min_eigenvalue(e, e, toy) <= PD_TOLERANCE
         try:
             norm_squared(e, toy)
@@ -597,10 +621,9 @@ def run_oracle_check(p: dict, rng: np.random.Generator, tally: Tally):
 
     # Krein sign structure of the time toy, plus the two reference values.
     samples = p["parity_samples"]
+    elements = _parity_elements(rng, samples)
     pairs = []
-    for _ in range(samples):
-        even = _random_parity_element(rng, odd=False)
-        odd = _random_parity_element(rng, odd=True)
+    for even, odd in zip(elements[0::2], elements[1::2]):
         pairs += [(even, even), (odd, odd), (even, odd)]
     values = inner_products(pairs, toy).tolist()
     for even_norm, odd_norm, cross in zip(values[0::3], values[1::3], values[2::3]):

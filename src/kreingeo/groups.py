@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DeltaJetTerm, SpaceElement
+from .elements import DeltaJetTerm, SpaceElement, _reject
 from .errors import NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
 from .geometry import central_difference_jacobian, require_immersion
@@ -24,12 +24,6 @@ _ORTHO_TOL = 1e-12
 _ETA4 = np.diag([1.0, 1.0, 1.0, -1.0])
 _EYE3 = np.eye(3)
 _ETA4.flags.writeable = _EYE3.flags.writeable = False
-
-
-def _reject(bad: np.ndarray, message: str) -> None:
-    """Raise ``message`` if any element is bad; a stack names the index of its first bad element."""
-    if bad.any():
-        raise ValueError(f"{message} (stack index {np.flatnonzero(bad)[0]})" if bad.ndim else message)
 
 
 def _dots(v: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 import cmath
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreingeo.elements import DeltaJetTerm, GaussianTerm, SpaceElement
+from kreingeo.elements import DeltaJetTerm, GaussianTerm, SpaceElement, gaussian_terms
 from kreingeo.kernels import Signature
 
 
@@ -321,3 +323,149 @@ def test_jet_pushforward_coefficients_follow_the_chain_rule(dim, orders):
     direct = _fd_partial(lambda x: phi.evaluate(x @ M.T + w), a, orders)
     assert all(np.allclose(t.base, M @ a + w) and t.order == sum(orders) for t in out.deltas)
     assert abs(pushed - direct) <= 1e-8 * abs(direct)
+
+
+# Gaussian terms built as one checked stack.
+
+@st.composite
+def term_stacks(draw):
+    """1-6 valid Gaussian terms in dims 1-4 as stacked arrays, powers (n, p) or None.
+
+    Before scaling by 1 or 1e4, diagonals have real part >= 0.8 and
+    off-diagonal entries stay within 0.2 (1 + i), so every real part is
+    diagonally dominant.  A form may carry an asymmetry inside the tolerance,
+    which is relative to its largest entry and which both constructors remove.
+    """
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    parts = st.floats(-0.2, 0.2)
+    quads = np.empty((n, dim, dim), dtype=complex)
+    for quad in quads:
+        for i in range(dim):
+            for j in range(i, dim):
+                quad[i, j] = quad[j, i] = complex(draw(parts), draw(parts))
+            quad[i, i] += 1.0
+        quad *= draw(st.sampled_from([1.0, 1e4]))
+        quad[0, -1] += draw(st.sampled_from([0.0, 3e-13, -1e-13j])) * abs(quad).max()
+    lins = np.array([[complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+                      for _ in range(dim)] for _ in range(n)])
+    coeffs = [complex(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))) for _ in range(n)]
+    polys = draw(st.one_of(st.none(), st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                                                 min_size=n, max_size=n)))
+    return coeffs, quads, lins, polys
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_stacks())
+def test_each_row_of_a_stack_is_the_single_term(stack):
+    coeffs, quads, lins, polys = stack
+    terms = gaussian_terms(coeffs, quads, lins, polys)
+    assert len(terms) == len(coeffs)
+    for i, t in enumerate(terms):
+        alone = GaussianTerm(coeffs[i], quads[i], lins[i], () if polys is None else tuple(polys[i]))
+        assert t.coeff == alone.coeff and type(t.coeff) is complex
+        assert np.array_equal(t.quad, alone.quad) and np.array_equal(t.lin, alone.lin)
+        assert np.array_equal(t.quad, t.quad.T)
+        assert t.poly == alone.poly and all(type(k) is int for k in t.poly)
+
+
+def _valid_stack(n: int = 5, dim: int = 2):
+    return ([1.0 + 0.5j] * n, np.array([[[1.5, 0.2j], [0.2j, 1.0]]] * n, dtype=complex),
+            np.full((n, dim), 0.3 - 0.1j), [[1, 0]] * n)
+
+
+def _corrupt(kind: str, stack, i: int):
+    coeffs, quads, lins, polys = stack
+    if kind == "NaN in a form":
+        quads[i, 1, 1] = np.nan
+    elif kind == "infinite form":
+        quads[i, 0, 0] = np.inf
+    elif kind == "asymmetric":
+        quads[i, 0, 1] += 1e-6
+    elif kind == "non-finite coefficient":
+        coeffs[i] = complex(np.inf, 0.0)
+    elif kind == "non-finite linear part":
+        lins[i, 1] = np.nan
+    elif kind == "negative power":
+        polys[i] = [0, -1]
+    elif kind == "fractional power":
+        polys[i] = [1.5, 0]
+    elif kind == "not positive definite":
+        quads[i] = [[1.0, 2.0], [2.0, 1.0]]
+
+
+BAD_TERMS = {
+    "NaN in a form": "quadratic form must be finite",
+    "infinite form": "quadratic form must be finite",
+    "asymmetric": "quadratic form must be symmetric",
+    "non-finite coefficient": "Gaussian term coefficient and linear part must be finite",
+    "non-finite linear part": "Gaussian term coefficient and linear part must be finite",
+    "negative power": "monomial powers must be nonnegative",
+    "fractional power": "monomial powers must be whole numbers, not 1.5",
+    "not positive definite": "real part of the quadratic form must be positive definite",
+}
+
+
+@pytest.mark.parametrize("i", [0, 3, 4])
+@pytest.mark.parametrize("kind", BAD_TERMS)
+def test_a_stack_names_its_first_bad_term_and_one_term_keeps_its_message(kind, i):
+    stack = _valid_stack()
+    _corrupt(kind, stack, i)
+    if i < 4:  # a second bad term after the first
+        _corrupt(kind, stack, 4)
+    message = BAD_TERMS[kind]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} \\(stack index {i}\\)$"):
+        gaussian_terms(*stack)
+    coeffs, quads, lins, polys = stack
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaussianTerm(coeffs[i], quads[i], lins[i], tuple(polys[i]))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, np.eye(3), np.zeros(2)), "quadratic form must be 2x2"),
+    ((1.0, [[np.nan]], [0.0]), "quadratic form must be finite"),
+    ((1.0, [[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0]), "quadratic form must be symmetric"),
+    ((np.inf, [[1.0]], [0.0]), "Gaussian term coefficient and linear part must be finite"),
+    ((1.0, np.eye(2), np.zeros(2), (1,)), "monomial powers must match the dimension"),
+    ((1.0, np.eye(1), np.zeros(1), (-1,)), "monomial powers must be nonnegative"),
+    ((1.0, [[0.0]], [0.0]), "real part of the quadratic form must be positive definite"),
+])
+def test_single_term_messages_are_unchanged(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaussianTerm(*args)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussianTerm(1, [[1.0]], [0.0], (1.5,)), "monomial powers must be whole numbers, not 1.5"),
+    (lambda: GaussianTerm(1, [[1.0]], [0.0], (np.nan,)), "monomial powers must be whole numbers, not nan"),
+    (lambda: GaussianTerm(1, np.eye(2), [0.0, 0.0], (0, np.inf)), "monomial powers must be whole numbers, not inf"),
+    (lambda: DeltaJetTerm(1, [0.0], (0.7,)), "derivative orders must be whole numbers, not 0.7"),
+    (lambda: DeltaJetTerm(1, [0.0, 0.0], (1, "1")), "derivative orders must be whole numbers"),
+    (lambda: DeltaJetTerm(1, [0.0], (-1,)), "derivative orders must be nonnegative"),
+    (lambda: GaussianTerm(1, [[1.0]], [[0.3]]), "linear part must be one vector per term"),
+    (lambda: DeltaJetTerm(1, [[0.0, 1.0]]), "base point must be one vector"),
+    (lambda: SpaceElement(-2), "ambient dimension must be at least 1"),
+    (lambda: SpaceElement(0), "ambient dimension must be at least 1"),
+    (lambda: SpaceElement(1.5), "ambient dimension must be a whole number, not 1.5"),
+    (lambda: SpaceElement.from_dict({"dim": 1.5}), "ambient dimension must be a whole number, not 1.5"),
+    (lambda: gaussian_terms(1.0, [np.eye(1)], [[0.0]]), "one coefficient per term"),
+    (lambda: gaussian_terms([1.0], [np.eye(1)], [0.0]), "linear part must be one vector per term"),
+    (lambda: gaussian_terms([1.0, 1.0], [np.eye(2)] * 2, np.zeros((2, 2)), [[0, 1]]),
+     "monomial powers must match the dimension"),
+])
+def test_non_integral_powers_wrong_ranks_and_bad_dims_are_rejected(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_integral_floats_and_numpy_ints_stay_accepted():
+    assert GaussianTerm(1, [[1.0]], [0.0], (2.0,)).poly == (2,)
+    assert GaussianTerm(1, np.eye(2), [0.0, 0.0], tuple(np.array([1, 0], dtype=np.int32))).poly == (1, 0)
+    assert DeltaJetTerm(1, [0.0, 0.0], (1.0, np.int64(1))).orders == (1, 1)
+    assert all(type(k) is int for k in DeltaJetTerm(1, [0.0, 0.0], (1.0, np.int64(1))).orders)
+    e = SpaceElement(np.int64(2), deltas=(DeltaJetTerm(1.0, [0.0, 1.0]),))
+    assert e.dim == 2 and type(e.dim) is int
+    record = SpaceElement.gaussian(np.eye(2), poly=(1, 2)).to_dict()
+    record["dim"] = 2.0
+    record["gaussians"][0]["poly"] = [1.0, 2.0]
+    back = SpaceElement.from_dict(json.loads(json.dumps(record)))
+    assert back.dim == 2 and back.gaussians[0].poly == (1, 2)

@@ -1,5 +1,6 @@
 """The tally that reduces per-case values, NaN cases end to end, the
-pair-engine passes of slice-dynamics and gram-invariance's stacked group law.
+pair-engine passes of slice-dynamics, gram-invariance's stacked group law and
+oracle-check's stacked elements.
 
 A NaN per-case value must fail its measurement: a running ``max`` started
 at 0.0 drops it, and a count of ``x <= 0.0`` does not count it.
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kreingeo import algebra, experiments, groups
+from kreingeo import algebra, elements, experiments, groups
 from kreingeo.cli import main
 from kreingeo.dynamics import SLICE_METRICS, slice_inner_product
+from kreingeo.elements import SpaceElement
 from kreingeo.experiments import (EXPERIMENTS, ExperimentConfig, Tally, emit_report,
                                   run_experiment)
 from kreingeo.geometry import embed_delta
 from kreingeo.groups import DiffeoMap, act_on_element, apply_point, extend_to_span
+from kreingeo.kernels import Signature
 
 
 @pytest.mark.parametrize("values", [
@@ -250,3 +253,79 @@ def test_stacked_group_law_checks_each_element_and_sample_once(monkeypatch):
     assert len(spans) == len(acts) == 1001
     assert [type(g).__name__ for g in spans[::333]] == ["PoincareElement", "GalileoElement",
                                                          "DiffeoMap", "DiffeoMap"]
+
+
+# oracle-check's divergence-boundary and parity elements: built from one
+# checked stack of terms each, with the terms of the per-element loops below.
+
+def _boundary_loop(rng, count):
+    """One element at a time, each Gaussian checked on its own."""
+    elements = []
+    for i in range(count):
+        a = rng.uniform(2.2, 6.0) if i % 2 == 0 else rng.uniform(0.3, 2.0)
+        a = complex(a, rng.uniform(-0.5, 0.5))
+        elements.append(SpaceElement.gaussian([[a]], lin=[rng.normal(scale=0.3)]))
+    return elements
+
+
+def _parity_loop(rng, samples):
+    """Each sample's even and odd element, built term by term with ``+`` and ``-``."""
+    def element(odd):
+        sig = Signature(0, 1)
+        e = SpaceElement.zero(1)
+        for _ in range(rng.integers(1, 3)):
+            a = rng.uniform(2.4, 5.0) + 1j * rng.uniform(-0.8, 0.8)
+            b = (rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+                 + 1j * rng.normal(scale=0.5))
+            coeff = rng.normal() + 1j * rng.normal()
+            term = SpaceElement.gaussian([[a]], lin=[b], coeff=coeff)
+            mirrored = term.reflected(sig)
+            e = e + (term - mirrored if odd else term + mirrored)
+        return e
+    return [element(odd) for _ in range(samples) for odd in (False, True)]
+
+
+def _term_bits(elements):
+    return [(t.coeff, t.quad.tobytes(), t.lin.tobytes(), t.poly, np.array(t.coeff).tobytes())
+            for e in elements for t in e.gaussians]
+
+
+@pytest.mark.parametrize("seed, samples", [(s, n) for s in range(12) for n in (1, 4, 200)])
+def test_stacked_oracle_elements_keep_the_per_element_terms(seed, samples):
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    boundary, parity = experiments._boundary_elements(rng, 50), experiments._parity_elements(rng, samples)
+    boundary_ref, parity_ref = _boundary_loop(replay, 50), _parity_loop(replay, samples)
+    assert [e.dim for e in boundary + parity] == [1] * (50 + 2 * samples)
+    assert [len(e.gaussians) for e in parity] == [len(e.gaussians) for e in parity_ref]
+    # == on every coefficient, form, linear part and power, and the same bits.
+    for stacked, alone in ((boundary, boundary_ref), (parity, parity_ref)):
+        for t, r in zip((t for e in stacked for t in e.gaussians), (r for e in alone for r in e.gaussians)):
+            assert t.coeff == r.coeff and np.array_equal(t.quad, r.quad)
+            assert np.array_equal(t.lin, r.lin) and t.poly == r.poly
+        assert _term_bits(stacked) == _term_bits(alone)
+    assert rng.bit_generator.state == replay.bit_generator.state  # the same draws
+
+
+def test_oracle_check_checks_each_section_as_one_stack(monkeypatch):
+    stacks, singles, convergent, parity = [], [], [], []
+    check, draw, build = (elements._check_gaussians, experiments._random_convergent_element,
+                          experiments._parity_elements)
+
+    def counted(coeff, *args):
+        (stacks if np.ndim(coeff) else singles).append(np.shape(coeff))
+        return check(coeff, *args)
+
+    def drawn(rng, dim):
+        e = draw(rng, dim)
+        convergent.append(len(e.gaussians))
+        return e
+    monkeypatch.setattr(elements, "_check_gaussians", counted)
+    monkeypatch.setattr(experiments, "_random_convergent_element", drawn)
+    monkeypatch.setattr(experiments, "_parity_elements", lambda rng, n: parity.extend(build(rng, n)) or parity)
+    cfg = ExperimentConfig.build("oracle-check", {"pair_count": 2, "boundary_cases": 7, "parity_samples": 30})
+    experiments.run_oracle_check(cfg.parameters, np.random.default_rng(3), Tally())
+    # One stack per section, of the drawn terms without their mirror images; only
+    # the convergent pairs and the two toy references are single terms.
+    assert len(parity) == 60
+    assert stacks == [(7,), (sum(len(e.gaussians) for e in parity) // 2,)]
+    assert len(singles) == sum(convergent) + 2
