@@ -89,6 +89,13 @@ def _unchecked(coeff: complex, quad: np.ndarray, lin: np.ndarray, poly: tuple) -
     return term
 
 
+def _unchecked_delta(coeff: complex, base: np.ndarray, orders: tuple) -> "DeltaJetTerm":
+    """A delta-jet term from parts that have passed its rules."""
+    term = object.__new__(DeltaJetTerm)
+    term.__dict__.update(coeff=coeff, base=base, orders=orders)  # frozen: set through the instance dict
+    return term
+
+
 def gaussian_terms(coeffs, quads, lins, polys=None) -> tuple["GaussianTerm", ...]:
     """n Gaussian terms from coefficients (n,), forms (n, p, p), linear parts (n, p) and powers.
 

@@ -15,6 +15,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -251,10 +252,30 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json_value(v) -> str:
+    """A mirror value as JSON text: strings and ints as themselves, bools as
+    true or false, anything else as a float, null if it is not finite."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int):
+        return ("true" if v else "false") if isinstance(v, bool) else int.__repr__(v)
+    v = float(v)
+    return float.__repr__(v) if math.isfinite(v) else "null"
+
+
 def write_json_mirror(path: Path, header: list[str], rows: list[list]) -> None:
-    records = [{h: (v if isinstance(v, (int, str)) else float(v))
-                for h, v in zip(header, row)} for row in rows]
-    _write_json(path, records)
+    """Each row as one record {header: value}: the text of ``json.dumps(records,
+    sort_keys=True, indent=1)``, written in one pass, with each NaN or infinity as null."""
+    column = {h: i for i, h in enumerate(header)}  # a repeated name keeps its last column, as a dict does
+    names = sorted(column)
+    keys, columns = [f"  {encode_basestring_ascii(h)}: " for h in names], [column[h] for h in names]
+    records = []
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"a table row needs {len(header)} values, not {len(row)}")
+        texts = [_json_value(row[i]) for i in columns]
+        records.append(" {\n" + ",\n".join(map(str.__add__, keys, texts)) + "\n }" if keys else " {}")
+    path.write_text(("[\n" + ",\n".join(records) + "\n]" if records else "[]") + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, value) -> None:
@@ -391,10 +412,13 @@ def run_metric_recovery(p: dict, rng: np.random.Generator, tally: Tally):
     return tables, None
 
 
-def _commutation_gaps(elements, points: np.ndarray, images: np.ndarray, tally: Tally) -> None:
-    """Span image of the delta at ``points[0, i]`` under element i against ``images[i]``; points (n, k, m)."""
-    for g, pts, image in zip(elements, points.swapaxes(0, 1), images):
-        moved = act_on_element(extend_to_span(g, pts), embed_delta(pts[0]))
+def _commutation_gaps(g, points: np.ndarray, images: np.ndarray, tally: Tally) -> None:
+    """Image of the delta at ``points[0, i]`` under span operator i against ``images[i]``; points (n, k, m).
+
+    ``g`` is a stack of k maps, operator i extending map i, or one map for all k operators.
+    """
+    for op, a, image in zip(extend_to_span(g, points), points[0], images):
+        moved = act_on_element(op, embed_delta(a))
         tally.worst("commutativity_deviation", np.max(np.abs(moved.deltas[0].base - image)))
 
 
@@ -417,7 +441,7 @@ def _commutativity_and_composition(rng: np.random.Generator, samples: int, tally
         tally.worst("composition_deviation", np.max(np.abs(
             apply_point(G @ H, P) - apply_point(G, apply_point(H, P)))))
     A = np.array([rng.uniform(-0.95, 0.95, size=2) for _ in range(samples - 2 * per_kind)])
-    _commutation_gaps([diffeo] * len(A), A[None], apply_point(diffeo, A), tally)
+    _commutation_gaps(diffeo, A[None], apply_point(diffeo, A), tally)
 
 
 def run_gram_invariance(p: dict, rng: np.random.Generator, tally: Tally):

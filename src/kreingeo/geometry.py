@@ -22,10 +22,13 @@ RANK_TOLERANCE = 1e-8
 
 
 def central_difference_jacobian(f: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
-    """df/du at u by central differences of step JACOBIAN_FD_STEP, one column per coordinate."""
+    """df/du at u by central differences of step JACOBIAN_FD_STEP, one column per coordinate.
+
+    A stack of points (k, n), for an ``f`` that maps stacks, gives k Jacobians.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return np.column_stack([(f(u + h) - f(u - h)) / (2.0 * JACOBIAN_FD_STEP)
-                            for h in np.eye(u.shape[0]) * JACOBIAN_FD_STEP])
+    return np.stack([(f(u + h) - f(u - h)) / (2.0 * JACOBIAN_FD_STEP)
+                     for h in np.eye(u.shape[-1]) * JACOBIAN_FD_STEP], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,18 @@ def induced_metric(pk: PulledBackKernel, u, step: float = METRIC_FD_STEP,
 
 def require_immersion(J: np.ndarray, u: np.ndarray) -> None:
     """Raise DegenerateImmersionError unless the jacobian J at u has full rank:
-    its smallest singular value is at least RANK_TOLERANCE * max(largest, 1)."""
+    its smallest singular value is at least RANK_TOLERANCE * max(largest, 1).
+
+    Jacobians (k, p, n) at points (k, n) are checked in one pass, and the
+    first rank-deficient one is named.
+    """
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv.min() < RANK_TOLERANCE * max(sv.max(), 1.0):
+    deficient = sv.min(axis=-1) < RANK_TOLERANCE * np.maximum(sv.max(axis=-1), 1.0)
+    if deficient.any():
+        i = np.flatnonzero(deficient)[0]
+        at, sv = np.reshape(u, (-1, np.shape(u)[-1]))[i], sv.reshape(-1, sv.shape[-1])[i]
         raise DegenerateImmersionError(
-            f"jacobian rank deficient at {u.tolist()} (singular values {sv.tolist()})"
+            f"jacobian rank deficient at {at.tolist()} (singular values {sv.tolist()})"
         )
 
 

@@ -3,10 +3,14 @@
 Poincare and Galileo elements are affine maps of coordinates (ordering
 (x1, x2, x3, t), timelike coordinate last); expression-based diffeomorphisms
 act on coordinate boxes.  Maps act on a point (m,) or, in one call, on a
-stack of points (n, m).  An affine map may be a stack of k maps, built,
+stack of points (n, m); a diffeomorphism evaluates each expression once on
+the coordinate columns.  An affine map may be a stack of k maps, built,
 checked and composed in one pass, each with the bits of its element alone.
 Any point map extends uniquely to the span of delta functionals over a finite
-point set by delta_a -> delta_{g(a)}, commuting with the embedding.
+point set by delta_a -> delta_{g(a)}, commuting with the embedding.  A span
+operator may be a stack of k operators over point sets (k, n, m), checked in
+one pass; ``extend_to_span`` builds one from points (n, k, m) with one map
+call, and ``ops[i]`` is operator i, not checked again.
 """
 
 import math
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DeltaJetTerm, SpaceElement, _reject
+from .elements import SpaceElement, _reject, _unchecked_delta
 from .errors import NonAffineMapError
 from .expressions import Expr, evaluate, max_var_index, parse_expression
 from .geometry import central_difference_jacobian, require_immersion
@@ -238,26 +242,33 @@ class DiffeoMap:
     def dim(self) -> int:
         return len(self.domain)
 
-    def _in_box(self, x) -> bool:
-        return all(lo - 1e-9 <= xi <= hi + 1e-9 for xi, (lo, hi) in zip(x, self.domain))
+    def _outside(self, x: np.ndarray) -> np.ndarray:
+        """Whether each point (..., m) lies outside the domain box widened by 1e-9."""
+        lo, hi = np.array(self.domain).T
+        return ~((lo - 1e-9 <= x) & (x <= hi + 1e-9)).all(axis=-1)
 
     def _validate_samples(self):
+        """The 4^m grid of the box: each image inside it and each Jacobian of full rank, in grid order."""
         axes = [np.linspace(lo, hi, 4) for lo, hi in self.domain]
-        for u in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim):
-            if not self._in_box(self.apply(u, check_domain=False)):
-                raise ValueError(
-                    f"map sends the sample point {u.tolist()} outside the domain")
-            require_immersion(self.jacobian_at(u), u)
+        samples = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        outside = self._outside(self.apply(samples, check_domain=False))
+        first = int(np.argmax(outside)) if outside.any() else len(samples)
+        require_immersion(self.jacobian_at(samples[:first]), samples[:first])
+        if first < len(samples):
+            raise ValueError(f"map sends the sample point {samples[first].tolist()} outside the domain")
 
     def apply(self, u, check_domain: bool = True) -> np.ndarray:
+        """Image of a point (m,) or a stack (n, m): one evaluation of each expression on the columns."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.dim,):
+        if u.ndim > 2 or u.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
-        if check_domain and not self._in_box(u):
-            raise ValueError(f"point {u.tolist()} is outside the map domain")
-        return np.array([float(evaluate(e, u)) for e in self.exprs])
+        if check_domain and (outside := self._outside(u)).any():
+            raise ValueError(f"point {u[outside][0].tolist()} is outside the map domain")
+        columns = tuple(np.ascontiguousarray(u.T))  # contiguous, so each ufunc runs the loop a lone point does
+        return np.stack([np.broadcast_to(evaluate(e, columns), u.shape[:-1]) for e in self.exprs], axis=-1)
 
     def jacobian_at(self, u) -> np.ndarray:
+        """Jacobian (m, m) at a point (m,), or (n, m, m) at a stack (n, m), by central differences."""
         return central_difference_jacobian(lambda x: self.apply(x, check_domain=False), u)
 
 
@@ -271,56 +282,89 @@ def apply_point(g: GroupElement, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():  # name the first point with a non-finite coordinate
         raise ValueError(f"point {x[~np.isfinite(x).all(axis=-1)][0].tolist()} is not finite")
-    if isinstance(g, DiffeoMap) and x.ndim == 2:
-        return np.array([g.apply(p) for p in x]).reshape(x.shape)
     return g.apply(x)
 
 
 def _move_deltas(e: SpaceElement, move, error: type[Exception], who: str) -> SpaceElement:
-    """delta_a -> delta_{move(a)} on zero-order deltas; ``move`` maps all bases (n, m), ``who`` names the map."""
+    """delta_a -> delta_{move(a)} on zero-order deltas; ``move`` maps all bases (n, m), ``who`` names the map.
+
+    Each moved term keeps the checked coefficient and orders of its source, and
+    its base is a row of the images, checked for finiteness together.
+    """
     if e.gaussians:
         raise error(f"{who} do not act on Gaussian terms; only delta spans transform")
     if any(t.order != 0 for t in e.deltas):
         raise error(f"{who} act on zero-order deltas only")
-    moved = move(np.array([t.base for t in e.deltas]).reshape(-1, e.dim))
-    return SpaceElement(e.dim, deltas=tuple(DeltaJetTerm(t.coeff, b, t.orders) for t, b in zip(e.deltas, moved)))
+    bases = np.array([t.base for t in e.deltas]).reshape(-1, e.dim)
+    moved = move(bases)
+    if not np.isfinite(moved).all():
+        raise ValueError(f"image of the delta at {bases[~np.isfinite(moved).all(axis=-1)][0].tolist()} "
+                         "is not finite")
+    return SpaceElement(e.dim, deltas=tuple(_unchecked_delta(t.coeff, b, t.orders) for t, b in zip(e.deltas, moved)))
+
+
+def _is_stack(g) -> bool:
+    return isinstance(g, AffineMap) and g.matrix.ndim > 2
+
+
+def _require_single(g, who: str) -> None:
+    """Reject a stack of k maps, whose point stacks would pair point i with map i."""
+    if _is_stack(g):
+        raise ValueError(f"{who} takes one group element, not a stack of {len(g.matrix)}")
 
 
 @dataclass(frozen=True)
 class DeltaSpanOperator:
-    """Linear map defined on the span of deltas over a finite point set."""
+    """Linear map on the span of deltas over a finite point set (n, m), or a stack of k such maps (k, n, m).
+
+    Every check runs once over a stack, and a failing stack names its first
+    bad operator as "(stack index i)", with the first rule that operator
+    fails; ``ops[i]`` is operator i, not checked again.
+    """
 
     sources: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         src, tgt = _points(self.sources), _points(self.targets)
-        if src.shape != tgt.shape or src.shape[0] < 1:
+        if src.shape != tgt.shape or src.ndim > 3 or src.shape[-2] < 1:
             raise ValueError("sources and targets must be matching nonempty point lists")
-        if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
-            raise ValueError("sources and targets must be finite")
-        if src.shape[0] > 1:  # one delta is its own basis: its Gram matrix is [[1]]
-            sq = np.square(src[:, None, :] - src[None, :, :]).sum(axis=-1)
-            if np.sqrt(sq[~np.eye(len(sq), dtype=bool)]).min() <= 1e-12:
-                raise ValueError("source points must be pairwise distinct")
+        finite = np.isfinite(src).all(axis=(-2, -1)) & np.isfinite(tgt).all(axis=(-2, -1))
+        distinct = independent = np.ones_like(finite)
+        if (n := src.shape[-2]) > 1:  # one delta is its own basis: its Gram matrix is [[1]]
+            basis = src if finite.all() else np.where(finite[..., None, None], src, 0.0)  # spans fail on finiteness
+            sq = np.square(basis[..., :, None, :] - basis[..., None, :, :]).sum(axis=-1)
+            distinct = np.sqrt(sq[..., ~np.eye(n, dtype=bool)]).min(axis=-1) > 1e-12
             # Uniqueness of the extension rests on linear independence of the
             # basis deltas; checked through the conditioning of their Gram
             # matrix under the positive-definite unit Gaussian kernel.
-            smallest = float(np.linalg.eigvalsh(np.exp(-0.5 * sq))[0])
-            if smallest <= 1e-12:
-                raise ValueError(
-                    f"source deltas are numerically linearly dependent "
-                    f"(Gram eigenvalue {smallest:.3e})")
+            smallest = np.linalg.eigvalsh(np.exp(-0.5 * sq))[..., 0]
+            independent = smallest > 1e-12
+        if not (good := finite & distinct & independent).all():  # the first bad operator, by its first failed rule
+            first = np.argmin(good.reshape(-1))
+            only = np.arange(good.size).reshape(good.shape) == first
+            _reject(~finite & only, "sources and targets must be finite")
+            _reject(~distinct & only, "source points must be pairwise distinct")
+            _reject(~independent & only, f"source deltas are numerically linearly dependent "
+                                         f"(Gram eigenvalue {float(smallest.reshape(-1)[first]):.3e})")
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)
 
     @property
     def size(self) -> int:
-        return self.sources.shape[0]
+        return self.sources.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.sources.shape[1]
+        return self.sources.shape[-1]
+
+    def __getitem__(self, i) -> "DeltaSpanOperator":
+        """Operator i of a stack, checked with the stack and not again; a stack iterates over them."""
+        if self.sources.ndim < 3:
+            raise TypeError("only a stack of span operators has elements")
+        op = object.__new__(DeltaSpanOperator)
+        op.__dict__.update(sources=self.sources[i], targets=self.targets[i])
+        return op
 
     def _match(self, bases: np.ndarray) -> np.ndarray:
         """Targets of the sources within 1e-12 of the bases (n, m), all matched at once."""
@@ -331,13 +375,31 @@ class DeltaSpanOperator:
         return self.targets[dist.argmin(axis=1)]
 
     def apply(self, e: SpaceElement) -> SpaceElement:
+        if self.sources.ndim > 2:
+            raise TypeError("a stack of span operators acts through its elements")
         return _move_deltas(e, self._match, ValueError, "span operators")
 
 
 def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
-    """Unique linear extension of the point action to the delta span."""
+    """Unique linear extension of the point action to the delta span.
+
+    Points (n, m) give one operator.  Points (n, k, m), the convention of
+    ``apply_point``, give a stack of k operators from one map call: under a
+    stack of k maps, operator i is map i's on the points [:, i]; under one
+    map, every operator is that map's.
+    """
     pts = _points(points)
-    return DeltaSpanOperator(pts, apply_point(g, pts))
+    if pts.ndim < 3:
+        _require_single(g, "extend_to_span over points (n, m)")
+        return DeltaSpanOperator(pts, apply_point(g, pts))
+    if not _is_stack(g):  # one map takes a point (m,) or a stack (n, m), not (n, k, m)
+        images = apply_point(g, pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
+    elif g.matrix.shape[:-2] == pts.shape[1:2]:
+        images = apply_point(g, pts)
+    else:
+        raise ValueError(f"a stack of {len(g.matrix)} maps extends over points (n, {len(g.matrix)}, m), "
+                         f"not {pts.shape}")
+    return DeltaSpanOperator(pts.swapaxes(0, 1), images.swapaxes(0, 1))
 
 
 def act_on_element(op, e: SpaceElement) -> SpaceElement:
@@ -360,6 +422,7 @@ def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float:
     """Max absolute change of the kernel Gram matrix under the point action."""
     if spec.family != GAUSSIAN:
         raise ValueError("Gram invariance checks use the gaussian family")
+    _require_single(g, "check_gram_invariance")
     pts = _points(points)
     if pts.shape[1] != spec.dim:
         raise ValueError("points do not match the kernel dimension")
@@ -380,6 +443,9 @@ def transform_gram(op: DeltaSpanOperator, gram: np.ndarray, g: GroupElement,
     equals the input (the kernel depends only on the invariant interval);
     for positive-definite kernels it generally differs.
     """
+    _require_single(g, "transform_gram")
+    if op.sources.ndim > 2:
+        raise ValueError("transform_gram takes one span operator, not a stack")
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (op.size, op.size):
         raise ValueError("Gram matrix shape does not match the operator span")

@@ -1,6 +1,6 @@
-"""The tally that reduces per-case values, NaN cases end to end, the
-pair-engine passes of slice-dynamics, gram-invariance's stacked group law and
-oracle-check's stacked elements.
+"""The tally that reduces per-case values, NaN cases end to end, the JSON
+mirror writer, the pair-engine passes of slice-dynamics, gram-invariance's
+stacked group law and oracle-check's stacked elements.
 
 A NaN per-case value must fail its measurement: a running ``max`` started
 at 0.0 drops it, and a count of ``x <= 0.0`` does not count it.
@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreingeo import algebra, elements, experiments, groups
 from kreingeo.cli import main
@@ -99,6 +101,51 @@ def test_json_mirror_writes_each_non_finite_value_as_null(tmp_path):
                                                      [2, -math.inf], [3, 1.5]])
     assert _strict_json(path) == [{"i": 0, "x": None}, {"i": 1, "x": None},
                                   {"i": 2, "x": None}, {"i": 3, "x": 1.5}]
+
+
+# JSON mirrors are written in one pass, with the bytes of json.dumps.
+
+def _mirror_the_old_way(header, rows) -> bytes:
+    """json.dumps of the records, with each non-finite value round-tripped to null."""
+    records = [{h: (v if isinstance(v, (int, str)) else float(v)) for h, v in zip(header, row)}
+               for row in rows]
+    try:
+        text = json.dumps(records, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        text = json.dumps(json.loads(json.dumps(records), parse_constant=lambda _: None),
+                          sort_keys=True, indent=1)
+    return (text + "\n").encode("utf-8")
+
+
+_headers = st.sampled_from(['"quoted"', "back\\slash", "caf\u00e9", "\u2028\ttab", "x", ""]) | st.text(max_size=6)
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_cells = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.booleans().map(np.bool_),
+                   _finite_floats, _finite_floats.map(np.float64), st.integers(-2 ** 40, 2 ** 40).map(np.int64),
+                   st.text(max_size=8) | _headers)
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+
+
+@st.composite
+def _tables(draw, cells):
+    header = draw(st.lists(_headers, max_size=5))
+    width = len(header)
+    return header, draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_tables(_cells), _tables(_cells | _non_finite)))
+def test_json_mirror_has_the_bytes_of_json_dumps(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("mirror") / "table.json"
+    experiments.write_json_mirror(path, header, rows)
+    assert path.read_bytes() == _mirror_the_old_way(header, rows)
+
+
+def test_json_mirror_rejects_a_ragged_row(tmp_path):
+    with pytest.raises(ValueError, match="a table row needs 2 values, not 3"):
+        experiments.write_json_mirror(tmp_path / "mirror.json", ["i", "x"], [[0, 1.0], [1, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="a table row needs 2 values, not 1"):  # after a null too
+        experiments.write_json_mirror(tmp_path / "mirror.json", ["i", "x"], [[0, math.nan], [1]])
 
 
 def test_a_nan_distance_fails_circle_topology(tmp_path, monkeypatch):
@@ -250,9 +297,11 @@ def test_stacked_group_law_checks_each_element_and_sample_once(monkeypatch):
     experiments._commutativity_and_composition(np.random.default_rng(0), 1001, Tally())
     # g, h and g @ h of each of the 333 samples per kind, each checked once.
     assert checked == {"PoincareElement": 3 * 333, "GalileoElement": 3 * 333}
-    assert len(spans) == len(acts) == 1001
-    assert [type(g).__name__ for g in spans[::333]] == ["PoincareElement", "GalileoElement",
-                                                         "DiffeoMap", "DiffeoMap"]
+    # One span-operator stack per kind, and one action per sample.
+    assert [type(g).__name__ for g in spans] == ["PoincareElement", "GalileoElement", "DiffeoMap"]
+    assert [len(g.matrix) for g in spans[:2]] == [333, 333]
+    assert len(acts) == 1001
+    assert [op.size for op in acts[::333]] == [2, 1, 1, 1]
 
 
 # oracle-check's divergence-boundary and parity elements: built from one

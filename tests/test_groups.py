@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from kreingeo.algebra import inner_product
 from kreingeo.elements import SpaceElement
-from kreingeo.errors import NonAffineMapError
+from kreingeo.errors import DegenerateImmersionError, NonAffineMapError
+from kreingeo.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, evaluate
 from kreingeo.geometry import embed_delta
 from kreingeo import groups
 from kreingeo.groups import (AffineMap, DeltaSpanOperator, DiffeoMap, GalileoElement,
@@ -629,3 +630,189 @@ def test_random_elements_draw_then_build():
     _same_map(g, G[0], np.ones(4))
     _same_map(h, H[0], np.ones(4))
     assert np.array_equal(rng.normal(size=3), replay.normal(size=3))
+
+
+# Stacks of maps pair point i with map i, so the Gram checks take one element.
+
+def test_gram_checks_reject_a_stack_of_maps():
+    rng = np.random.default_rng(0)
+    G = groups._poincare_stack([groups._poincare_draws(rng) for _ in range(3)])
+    for n in (3, 5):  # three points once paired point i with map i; five raised numpy's broadcast error
+        pts = rng.normal(size=(n, 4))
+        with pytest.raises(ValueError, match="^check_gram_invariance takes one group element, not a stack of 3$"):
+            check_gram_invariance(G, pts, SPEC31)
+        op = extend_to_span(G[0], pts)
+        with pytest.raises(ValueError, match="^transform_gram takes one group element, not a stack of 3$"):
+            transform_gram(op, gram_matrix(pts, SPEC31), G, SPEC31)
+        with pytest.raises(ValueError, match="not a stack of 3$"):
+            extend_to_span(G, pts)
+        with pytest.raises(ValueError, match=r"extends over points \(n, 3, m\)"):
+            extend_to_span(G, pts[:, None])
+        stacked = extend_to_span(G, np.stack([pts] * 3, axis=1))
+        with pytest.raises(ValueError, match="one span operator, not a stack"):
+            transform_gram(stacked, gram_matrix(pts, SPEC31), G[0], SPEC31)
+        with pytest.raises(TypeError, match="acts through its elements"):
+            stacked.apply(embed_delta(pts[0]))
+
+
+# Diffeomorphisms on point stacks: one evaluation per expression, with the
+# bits of the row-by-row evaluation below.
+
+def _apply_by_rows(diffeo, points):
+    """The image of each row on its own, one expression at a time."""
+    return np.array([[float(evaluate(e, p)) for e in diffeo.exprs] for p in points]).reshape(points.shape)
+
+
+def _unvalidated_diffeo(exprs, dim):
+    """A map on [-1, 1]^dim without the sample-grid checks, which random trees rarely pass."""
+    diffeo = object.__new__(DiffeoMap)
+    diffeo.__dict__.update(exprs=tuple(exprs), domain=((-1.0, 1.0),) * dim)
+    return diffeo
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub)), max_leaves=10)
+
+
+_constants = st.floats(-3.0, 3.0, allow_nan=False).map(Num)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_a_diffeo_maps_a_stack_as_row_by_row(data, dim, n, seed):
+    variables = st.integers(0, dim - 1).map(Var)
+    exprs = [data.draw(_trees(_constants) if data.draw(st.booleans()) else _trees(_constants | variables))
+             for _ in range(dim)]
+    diffeo = _unvalidated_diffeo(exprs, dim)
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, dim))
+    with np.errstate(all="ignore"):  # random trees overflow and divide by zero
+        try:
+            want = _apply_by_rows(diffeo, points)
+        except ZeroDivisionError:  # a constant subtree divides Python floats by zero, on every path
+            with pytest.raises(ZeroDivisionError):
+                diffeo.apply(points)
+            return
+        got = diffeo.apply(points)
+        singles = np.array([diffeo.apply(p) for p in points])
+    assert got.shape == points.shape and got.dtype == float
+    assert np.array_equal(got, want, equal_nan=True)  # == on every finite value, NaN where it was
+    assert np.array_equal(singles, want, equal_nan=True)
+
+
+def test_a_constant_map_is_broadcast_to_the_stack():
+    diffeo = _unvalidated_diffeo([Num(0.25), Call("sin", Num(0.5))], 2)
+    points = np.zeros((3, 2))
+    assert np.array_equal(diffeo.apply(points), np.tile([0.25, math.sin(0.5)], (3, 1)))
+    assert np.array_equal(diffeo.apply(points[0]), [0.25, math.sin(0.5)])
+
+
+def test_a_diffeo_names_the_first_point_outside_its_domain():
+    diffeo = DiffeoMap.from_strings(["0.5 * u1", "0.5 * u2"], [(-1.0, 1.0), (-1.0, 1.0)])
+    points = np.array([[0.0, 0.0], [0.5, 1.5], [0.0, 0.2], [-2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^point \[0.5, 1.5\] is outside the map domain$"):
+        diffeo.apply(points)
+    with pytest.raises(ValueError, match=r"^point \[-2.0, 0.0\] is outside the map domain$"):
+        apply_point(diffeo, points[[0, 3]])
+    assert np.array_equal(diffeo.apply(points, check_domain=False), 0.5 * points)
+
+
+def test_diffeo_samples_fail_in_grid_order():
+    # The Jacobian is singular at the grid point (-1/3, -1), before (-1/3, 1) leaves the box.
+    with pytest.raises(DegenerateImmersionError, match=r"rank deficient at \[-0.333"):
+        DiffeoMap.from_strings(["0.5 * cos(u1 + 1 / 3)", "u2 + 0.5 * (u1 + 1) ^ 2"], [(-1, 1), (-1, 1)])
+    with pytest.raises(ValueError, match=r"sends the sample point \[-0.333\d*, 1.0\] outside"):
+        DiffeoMap.from_strings(["0.5 * u1", "u2 + 0.5 * (u1 + 1) ^ 2"], [(-1, 1), (-1, 1)])
+
+
+def test_a_diffeo_with_a_non_finite_image_is_rejected():
+    diffeo = DiffeoMap.from_strings(["u1 / (u1 - 0.5) * (u1 - 0.5)"], [(-1.0, 1.0)])  # NaN at 0.5 only
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(act_on_element(diffeo, embed_delta([0.2])).deltas[0].base, [0.2])
+        with pytest.raises(ValueError, match=r"^image of the delta at \[0.5\] is not finite$"):
+            act_on_element(diffeo, embed_delta([0.2]) + embed_delta([0.5]) * 2.0)
+        with pytest.raises(ValueError, match="sources and targets must be finite"):
+            extend_to_span(diffeo, [[0.2], [0.5]])
+
+
+# Stacks of span operators: one check for k operators, each operator the
+# one built alone.
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_a_stacked_span_operator_is_k_single_operators(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    sources, targets = rng.normal(size=(2, k, n, m))
+    ops = DeltaSpanOperator(sources, targets)
+    assert (ops.size, ops.dim) == (n, m)
+    for i, op in enumerate(ops):
+        alone = DeltaSpanOperator(sources[i], targets[i])
+        assert np.array_equal(op.sources, alone.sources) and np.array_equal(op.targets, alone.targets)
+        bases = sources[i][rng.permutation(n)] + 1e-13
+        assert np.array_equal(op._match(bases), alone._match(bases))
+        e = embed_delta(sources[i, 0]) * (1.0 - 2.0j)
+        assert np.array_equal(op.apply(e).deltas[0].base, alone.apply(e).deltas[0].base)
+    assert i == k - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poincare_draw, min_size=1, max_size=6), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_extend_to_span_on_a_point_stack_is_k_extensions(draws, n, seed):
+    G = groups._poincare_stack([tuple(np.asarray(x, dtype=float) for x in d) for d in draws])
+    k = len(draws)
+    points = np.random.default_rng(seed).normal(size=(n, k, 4))
+    diffeo = DiffeoMap.from_strings(["0.9 * u1 + 0.1 * sin(u2)", "0.9 * u2 + 0.1 * cos(u1)"],
+                                    [(-1.0, 1.0), (-1.0, 1.0)])
+    boxed = np.tanh(points[..., :2])
+    for g, pts in ((G, points), (G[0], points), (diffeo, boxed)):
+        ops = extend_to_span(g, pts)
+        for i in range(k):
+            alone = extend_to_span(g[i] if g is G else g, pts[:, i])
+            assert np.array_equal(ops[i].sources, alone.sources)
+            assert np.array_equal(ops[i].targets, alone.targets)
+
+
+_span_faults = st.sampled_from(["coincident", "dependent", "non-finite"])
+
+
+def _spoil(points, fault):
+    """Give a point set (n, m) the fault: a repeated point, a point 1e-7 from another, or a NaN."""
+    if fault == "non-finite":
+        points[-1, 0] = math.nan
+    else:
+        points[-1] = points[0] + (1e-7 if fault == "dependent" else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 4), _span_faults, _span_faults, st.data())
+def test_a_span_stack_names_its_first_bad_operator(k, n, fault, later_fault, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sources = rng.normal(size=(k, n, 3))
+    bad = data.draw(st.integers(0, k - 1))
+    _spoil(sources[bad], fault)
+    for later in data.draw(st.lists(st.integers(bad + 1, k - 1), max_size=2)) if bad < k - 1 else []:
+        _spoil(sources[later], later_fault)  # a later bad operator, of any fault, is not named
+    message = {"coincident": "source points must be pairwise distinct",
+               "dependent": r"source deltas are numerically linearly dependent \(Gram eigenvalue [-0-9.e+]+\)",
+               "non-finite": "sources and targets must be finite"}[fault]
+    with pytest.raises(ValueError, match=rf"^{message}$") as alone:  # alone, an operator names no index
+        DeltaSpanOperator(sources[bad], sources[bad])
+    with pytest.raises(ValueError) as stacked:
+        DeltaSpanOperator(sources, sources)
+    assert str(stacked.value) == f"{alone.value} (stack index {bad})"
+
+
+def test_a_span_operator_with_two_faults_names_the_first_rule():
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [math.inf, 1.0]])
+    with pytest.raises(ValueError, match="^sources and targets must be finite$"):
+        DeltaSpanOperator(points, points)
+    stack = np.stack([points[:2] + [0.0, 1.0], points[1:]])  # coincident, then non-finite
+    with pytest.raises(ValueError, match=r"^source points must be pairwise distinct \(stack index 0\)$"):
+        DeltaSpanOperator(stack, stack)
+
+
+def test_a_single_span_operator_is_not_a_stack():
+    op = DeltaSpanOperator(np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(TypeError, match="only a stack"):
+        op[0]
