@@ -38,15 +38,6 @@ class CatalogEntry:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return MetricTensor(u, np.asarray(self.metric(u), dtype=float))
 
-    def interior_grid(self, per_axis: int = 5, margin: float = 0.05) -> np.ndarray:
-        """Regular grid of interior points of the default domain box."""
-        axes = []
-        for lo, hi in self.embedding.domain:
-            pad = margin * (hi - lo)
-            axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
 
 def _entry_euclidean3() -> CatalogEntry:
     sig = Signature(3, 0)

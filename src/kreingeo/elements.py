@@ -264,10 +264,6 @@ class SpaceElement:
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.gaussians and not self.deltas
-
     def _require_gaussian_only(self, what: str):
         if self.deltas:
             raise ValueError(f"{what} is defined only for Gaussian-term elements")

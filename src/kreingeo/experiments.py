@@ -415,11 +415,10 @@ def run_metric_recovery(p: dict, rng: np.random.Generator, tally: Tally):
 def _commutation_gaps(g, points: np.ndarray, images: np.ndarray, tally: Tally) -> None:
     """Image of the delta at ``points[0, i]`` under span operator i against ``images[i]``; points (n, k, m).
 
-    ``g`` is a stack of k maps, operator i extending map i, or one map for all k operators.
+    ``g`` is a stack of k maps, operator i extending map i, or one map for all k operators; one action moves all k.
     """
-    for op, a, image in zip(extend_to_span(g, points), points[0], images):
-        moved = act_on_element(op, embed_delta(a))
-        tally.worst("commutativity_deviation", np.max(np.abs(moved.deltas[0].base - image)))
+    moved = act_on_element(extend_to_span(g, points), embed_delta(points[0]))
+    tally.worst("commutativity_deviation", np.max(np.abs(np.array([e.deltas[0].base for e in moved]) - images)))
 
 
 def _commutativity_and_composition(rng: np.random.Generator, samples: int, tally: Tally):
@@ -450,12 +449,14 @@ def run_gram_invariance(p: dict, rng: np.random.Generator, tally: Tally):
     points = rng.normal(scale=p["point_scale"], size=(p["point_count"], 4))
     # The random sample, built and checked as one stack, then the configured Poincare elements.
     sample = _poincare_stack([_poincare_draws(rng, p["max_rapidity"]) for _ in range(p["group_samples"])])
-    elements = list(sample) + p["extra_elements"]
+    extra = p["extra_elements"]
+    rapidities = sample.rapidity().tolist() + [g.rapidity() for g in extra]
+    devs = check_gram_invariance(sample, points, spec).tolist() + [check_gram_invariance(g, points, spec)
+                                                                  for g in extra]
     rows = []
-    for i, g in enumerate(elements):
-        dev = check_gram_invariance(g, points, spec)
+    for i, (rapidity, dev) in enumerate(zip(rapidities, devs)):
         tally.worst("gram_deviation", dev)
-        rows.append([i, g.rapidity(), dev])
+        rows.append([i, rapidity, dev])
 
     # Negative control: an anisotropic scaling is not an isometry of the
     # positive-definite kernel and must move the Gram matrix visibly.

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import SpaceElement
+from .elements import SpaceElement, _reject, _unchecked_delta
 from .errors import DegenerateImmersionError
 from .kernels import GAUSSIAN, KernelSpec, Signature, cross_kernel, gram_matrix, kernel_eval
 
@@ -122,16 +122,18 @@ class MetricTensor:
         scale = max(1.0, float(np.max(np.abs(w))))
         return int(np.sum(w > tol * scale)), int(np.sum(w < -tol * scale))
 
-    def csv_row(self) -> list[float]:
-        return [*map(float, self.point), *map(float, self.components.reshape(-1))]
 
-
-def embed_delta(a, dim: int | None = None) -> SpaceElement:
-    """The delta functional sitting over a point of R^p."""
+def embed_delta(a, dim: int | None = None) -> SpaceElement | list[SpaceElement]:
+    """The delta functional sitting over a point of R^p; points (k, p), checked once, give a list of k."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if dim is not None and a.shape != (dim,):
+    if a.ndim > 2:
+        raise ValueError(f"points must be one vector or a stack (k, p), not of shape {a.shape}")
+    if dim is not None and a.shape[-1:] != (dim,):
         raise ValueError("point does not have the requested dimension")
-    return SpaceElement.delta(a)
+    _reject(~np.isfinite(a).all(axis=-1), "base point must be finite")
+    p = a.shape[-1]
+    deltas = [SpaceElement(p, deltas=(_unchecked_delta(1.0 + 0j, x, (0,) * p),)) for x in np.atleast_2d(a)]
+    return deltas if a.ndim > 1 else deltas[0]
 
 
 def _rank_check(g: np.ndarray, where: str):

@@ -10,7 +10,8 @@ Any point map extends uniquely to the span of delta functionals over a finite
 point set by delta_a -> delta_{g(a)}, commuting with the embedding.  A span
 operator may be a stack of k operators over point sets (k, n, m), checked in
 one pass; ``extend_to_span`` builds one from points (n, k, m) with one map
-call, and ``ops[i]`` is operator i, not checked again.
+call, and ``ops[i]`` is operator i, not checked again; it acts on k elements
+in one pass, operator i on element i, every delta matched at once.
 """
 
 import math
@@ -161,9 +162,10 @@ class PoincareElement(AffineMap):
         """Pure boost with |velocity| < 1 (units with c = 1)."""
         return cls(L := _boost_matrix(velocity), np.zeros(L.shape[:-1]))
 
-    def rapidity(self) -> float:
-        """Boost rapidity read off the time-time component."""
-        return math.acosh(max(float(self.lorentz[3, 3]), 1.0))
+    def rapidity(self) -> float | np.ndarray:
+        """Boost rapidity read off the time-time component by ``math.acosh``; a stack gives one per element."""
+        r = [math.acosh(max(t, 1.0)) for t in np.ravel(self.lorentz[..., 3, 3]).tolist()]
+        return np.array(r).reshape(self.lorentz.shape[:-2]) if self.lorentz.ndim > 2 else r[0]
 
 
 def _spatial_lorentz(rotation: np.ndarray) -> np.ndarray:
@@ -285,22 +287,34 @@ def apply_point(g: GroupElement, x) -> np.ndarray:
     return g.apply(x)
 
 
-def _move_deltas(e: SpaceElement, move, error: type[Exception], who: str) -> SpaceElement:
-    """delta_a -> delta_{move(a)} on zero-order deltas; ``move`` maps all bases (n, m), ``who`` names the map.
+def _at(message: str, i, stacked: bool) -> str:
+    """The message, naming stack index i when it is about a stack."""
+    return f"{message} (stack index {i})" if stacked else message
 
-    Each moved term keeps the checked coefficient and orders of its source, and
-    its base is a row of the images, checked for finiteness together.
+
+def _move_deltas(elements, dim: int, move, error: type[Exception], who: str,
+                 stacked: bool) -> list[SpaceElement]:
+    """delta_a -> delta_{move(a)} on the zero-order deltas of k elements of R^dim; ``who`` names the map.
+
+    ``move`` maps all bases (N, m) at once, given the element (N,) of each.  A moved term keeps its
+    source's checked coefficient and orders; a failure under a stack names its element.
     """
-    if e.gaussians:
-        raise error(f"{who} do not act on Gaussian terms; only delta spans transform")
-    if any(t.order != 0 for t in e.deltas):
-        raise error(f"{who} act on zero-order deltas only")
-    bases = np.array([t.base for t in e.deltas]).reshape(-1, e.dim)
-    moved = move(bases)
-    if not np.isfinite(moved).all():
-        raise ValueError(f"image of the delta at {bases[~np.isfinite(moved).all(axis=-1)][0].tolist()} "
-                         "is not finite")
-    return SpaceElement(e.dim, deltas=tuple(_unchecked_delta(t.coeff, b, t.orders) for t, b in zip(e.deltas, moved)))
+    for i, e in enumerate(elements):
+        if e.gaussians:
+            raise error(_at(f"{who} do not act on Gaussian terms; only delta spans transform", i, stacked))
+        if any(t.order != 0 for t in e.deltas):
+            raise error(_at(f"{who} act on zero-order deltas only", i, stacked))
+        if e.dim != dim:
+            raise ValueError(_at(f"{who} act on elements of dimension {dim}, not {e.dim}", i, stacked))
+    owners = np.repeat(np.arange(len(elements)), [len(e.deltas) for e in elements])
+    bases = np.array([t.base for e in elements for t in e.deltas]).reshape(-1, dim)
+    moved = move(bases, owners)
+    if not (finite := np.isfinite(moved).all(axis=-1)).all():
+        j = np.argmin(finite)
+        raise ValueError(_at(f"image of the delta at {bases[j].tolist()} is not finite", owners[j], stacked))
+    rows = iter(moved)
+    return [SpaceElement(dim, deltas=tuple(_unchecked_delta(t.coeff, next(rows), t.orders) for t in e.deltas))
+            for e in elements]
 
 
 def _is_stack(g) -> bool:
@@ -319,7 +333,9 @@ class DeltaSpanOperator:
 
     Every check runs once over a stack, and a failing stack names its first
     bad operator as "(stack index i)", with the first rule that operator
-    fails; ``ops[i]`` is operator i, not checked again.
+    fails; ``ops[i]`` is operator i, not checked again.  A stack applies to k
+    elements, operator i to element i, and names the first whose terms fail,
+    else the first with a delta outside its operator's span.
     """
 
     sources: np.ndarray
@@ -366,18 +382,25 @@ class DeltaSpanOperator:
         op.__dict__.update(sources=self.sources[i], targets=self.targets[i])
         return op
 
-    def _match(self, bases: np.ndarray) -> np.ndarray:
-        """Targets of the sources within 1e-12 of the bases (n, m), all matched at once."""
-        dist = np.sqrt(np.square(bases[:, None, :] - self.sources).sum(axis=-1))
-        outside = dist.min(axis=1) > 1e-12
-        if outside.any():
-            raise ValueError(f"delta at {bases[np.argmax(outside)].tolist()} is outside the operator span")
-        return self.targets[dist.argmin(axis=1)]
+    def _match(self, bases: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Targets of the sources within 1e-12 of the bases (N, m), base j among operator owners[j]'s."""
+        src, tgt = self.sources.reshape(-1, self.size, self.dim), self.targets.reshape(-1, self.size, self.dim)
+        dist = np.sqrt(np.square(bases[:, None, :] - src[owners]).sum(axis=-1))
+        if (outside := dist.min(axis=1) > 1e-12).any():
+            j = np.argmax(outside)
+            raise ValueError(_at(f"delta at {bases[j].tolist()} is outside the operator span", owners[j],
+                                 self.sources.ndim > 2))
+        return tgt[owners, dist.argmin(axis=1)]
 
-    def apply(self, e: SpaceElement) -> SpaceElement:
-        if self.sources.ndim > 2:
-            raise TypeError("a stack of span operators acts through its elements")
-        return _move_deltas(e, self._match, ValueError, "span operators")
+    def apply(self, e):
+        """Image of an element; a stack of k operators maps a sequence of k elements to their k images."""
+        if isinstance(e, SpaceElement) == (stacked := self.sources.ndim > 2):
+            raise TypeError("a stack of span operators acts through its elements" if stacked
+                            else "one span operator acts on one element")
+        if stacked and len(e := list(e)) != len(self.sources):
+            raise ValueError(f"a stack of {len(self.sources)} span operators acts on as many elements, not {len(e)}")
+        images = _move_deltas(e if stacked else [e], self.dim, self._match, ValueError, "span operators", stacked)
+        return images if stacked else images[0]
 
 
 def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
@@ -402,27 +425,31 @@ def extend_to_span(g: GroupElement, points) -> DeltaSpanOperator:
     return DeltaSpanOperator(pts.swapaxes(0, 1), images.swapaxes(0, 1))
 
 
-def act_on_element(op, e: SpaceElement) -> SpaceElement:
+def act_on_element(op, e):
     """Apply a span operator, an affine element, or a diffeomorphism.
 
-    Affine group elements push elements forward by f -> f o g^{-1}; the
-    Gaussian family is closed under this.  Non-affine diffeomorphisms act
-    only on spans of zero-order deltas.
+    A stack of k span operators maps k elements, operator i acting on element
+    i.  Affine group elements push elements forward by f -> f o g^{-1}; the
+    Gaussian family is closed under this.  Non-affine diffeomorphisms act only
+    on spans of zero-order deltas.
     """
     if isinstance(op, DeltaSpanOperator):
         return op.apply(e)
     if isinstance(op, AffineMap):
         return e.pushforward_affine(op.matrix, op.offset)
     if isinstance(op, DiffeoMap):
-        return _move_deltas(e, lambda bases: apply_point(op, bases), NonAffineMapError, "non-affine maps")
+        return _move_deltas([e], op.dim, lambda bases, _: apply_point(op, bases), NonAffineMapError,
+                            "non-affine maps", False)[0]
     raise TypeError(f"cannot act with object of type {type(op).__name__}")
 
 
-def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float:
-    """Max absolute change of the kernel Gram matrix under the point action."""
+def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float | np.ndarray:
+    """Max absolute change of the kernel Gram matrix under the point action; a stack of k maps gives k.
+
+    Each map of a stack acts on all n points, broadcast to (n, k, m), against one before-matrix.
+    """
     if spec.family != GAUSSIAN:
         raise ValueError("Gram invariance checks use the gaussian family")
-    _require_single(g, "check_gram_invariance")
     pts = _points(points)
     if pts.shape[1] != spec.dim:
         raise ValueError("points do not match the kernel dimension")
@@ -431,8 +458,10 @@ def check_gram_invariance(g: GroupElement, points, spec: KernelSpec) -> float:
             f"incompatible pair: map acts on dimension {getattr(g, 'dim', '?')}, "
             f"kernel lives on dimension {spec.dim}")
     before = gram_matrix(pts, spec)
-    after = gram_matrix(apply_point(g, pts), spec)
-    return float(np.max(np.abs(after - before)))
+    if not _is_stack(g):
+        return float(np.max(np.abs(gram_matrix(apply_point(g, pts), spec) - before)))
+    images = apply_point(g, np.broadcast_to(pts[:, None], (len(pts), len(g.matrix), spec.dim)))
+    return np.array([np.max(np.abs(gram_matrix(images[:, i], spec) - before)) for i in range(len(g.matrix))])
 
 
 def transform_gram(op: DeltaSpanOperator, gram: np.ndarray, g: GroupElement,
@@ -536,13 +565,3 @@ def _galileo_stack(draws) -> GalileoElement:
     """The stack of Galileo elements, one per draw of ``_galileo_draws``."""
     axes, angles, velocities, shifts, time_shifts = map(np.array, zip(*draws))
     return GalileoElement(rotation_matrix(axes, angles), velocities, shifts, time_shifts)
-
-
-def random_poincare(rng: np.random.Generator, max_rapidity: float = 2.0,
-                    translation_scale: float = 1.0) -> PoincareElement:
-    """Random rotation * boost * translation with bounded rapidity."""
-    return _poincare_stack([_poincare_draws(rng, max_rapidity, translation_scale)])[0]
-
-
-def random_galileo(rng: np.random.Generator) -> GalileoElement:
-    return _galileo_stack([_galileo_draws(rng)])[0]

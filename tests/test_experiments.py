@@ -24,7 +24,7 @@ from kreingeo.experiments import (EXPERIMENTS, ExperimentConfig, Tally, emit_rep
                                   run_experiment)
 from kreingeo.geometry import embed_delta
 from kreingeo.groups import DiffeoMap, act_on_element, apply_point, extend_to_span
-from kreingeo.kernels import Signature
+from kreingeo.kernels import Signature, gram_matrix
 
 
 @pytest.mark.parametrize("values", [
@@ -78,10 +78,20 @@ def _invoke(tmp_path, name: str, parameters: dict):
     return result, {m["name"]: m for m in report["measurements"]}
 
 
+def _nan_in_stack_row(function, row: int):
+    """``function`` with row ``row`` of each stacked result replaced by NaN; single results kept."""
+    def patched(*args, **kwargs):
+        value = function(*args, **kwargs)
+        if np.ndim(value):
+            value[row] = math.nan
+        return value
+    return patched
+
+
 def test_a_nan_gram_deviation_fails_gram_invariance(tmp_path, monkeypatch):
-    # The second of five random samples; the negative control is the sixth call.
+    # The second of five random samples, which are checked as one stack; the negative control is single.
     monkeypatch.setattr(experiments, "check_gram_invariance",
-                        _nan_on_call(experiments.check_gram_invariance, 2))
+                        _nan_in_stack_row(experiments.check_gram_invariance, 1))
     result, measured = _invoke(tmp_path, "gram-invariance",
                                {"group_samples": 5, "commutativity_samples": 6})
     assert result.exit_code == 1, result.output
@@ -93,6 +103,18 @@ def test_a_nan_gram_deviation_fails_gram_invariance(tmp_path, monkeypatch):
     mirror = _strict_json(tmp_path / "results" / "gram_invariance.json")
     assert [row["gram_deviation"] is None for row in mirror] == [False, True, False, False, False]
     assert "| gram_deviation | nan | 1.000000e-11 | **FAIL** |" in emit_report(tmp_path / "results")
+
+
+def test_gram_invariance_builds_the_gram_matrix_of_its_points_once(tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(groups, "gram_matrix", lambda pts, spec: sizes.append(len(pts)) or gram_matrix(pts, spec))
+    result, _ = _invoke(tmp_path, "gram-invariance", {
+        "group_samples": 5, "point_count": 7, "commutativity_samples": 3,
+        "extra_elements": [{"boost": [0.3, 0.0, 0.0]}]})
+    assert result.exit_code == 0, result.output
+    # The points once, then each of the 5 stacked samples; the extra element alone; the 6-point control.
+    assert sizes == [7] * 6 + [7, 7] + [6, 6]
+    assert len(_strict_json(tmp_path / "results" / "gram_invariance.json")) == 6
 
 
 def test_json_mirror_writes_each_non_finite_value_as_null(tmp_path):
@@ -279,6 +301,21 @@ def test_stacked_group_law_keeps_the_per_sample_tally(seed, samples):
     assert np.array_equal(rng.normal(size=8), replay.normal(size=8))  # the same draws
 
 
+def test_commutation_gaps_tally_the_largest_gap_over_all_samples():
+    rng = np.random.default_rng(4)
+    G = groups._galileo_stack([groups._galileo_draws(rng) for _ in range(5)])
+    P = rng.normal(size=(1, 5, 4))
+    images = apply_point(G, P[0])
+    for row, col, shift in ((3, 2, 0.25), (4, 0, -1.5), (1, 3, math.nan)):
+        shifted = images.copy()
+        shifted[row, col] += shift
+        tally = Tally()
+        experiments._commutation_gaps(G, P, shifted, tally)
+        assert list(tally.values) == ["commutativity_deviation"]
+        want = abs(images[row, col] - shifted[row, col])  # the one gap; NaN for the NaN image
+        assert np.array_equal(tally.values["commutativity_deviation"], want, equal_nan=True)
+
+
 def test_stacked_group_law_checks_each_element_and_sample_once(monkeypatch):
     checked, spans, acts = {}, [], []
 
@@ -297,11 +334,10 @@ def test_stacked_group_law_checks_each_element_and_sample_once(monkeypatch):
     experiments._commutativity_and_composition(np.random.default_rng(0), 1001, Tally())
     # g, h and g @ h of each of the 333 samples per kind, each checked once.
     assert checked == {"PoincareElement": 3 * 333, "GalileoElement": 3 * 333}
-    # One span-operator stack per kind, and one action per sample.
+    # One span-operator stack per kind, and one stacked action per kind.
     assert [type(g).__name__ for g in spans] == ["PoincareElement", "GalileoElement", "DiffeoMap"]
     assert [len(g.matrix) for g in spans[:2]] == [333, 333]
-    assert len(acts) == 1001
-    assert [op.size for op in acts[::333]] == [2, 1, 1, 1]
+    assert [(len(op.sources), op.size) for op in acts] == [(333, 2), (333, 1), (335, 1)]
 
 
 # oracle-check's divergence-boundary and parity elements: built from one

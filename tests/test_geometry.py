@@ -7,6 +7,7 @@ import pytest
 from kreingeo import geometry
 from kreingeo.algebra import inner_product, norm_squared
 from kreingeo.catalog import builtin
+from kreingeo.elements import SpaceElement
 from kreingeo.errors import DegenerateImmersionError
 from kreingeo.geometry import (EmbeddingMap, MetricTensor, PulledBackKernel,
                                analytic_pullback_metric, chordal_distance,
@@ -173,7 +174,7 @@ def test_metric_tensor_validation():
         MetricTensor([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
     g = MetricTensor([0.0], [[2.0]])
     assert g.eigenvalue_signature() == (1, 0)
-    assert g.csv_row() == [0.0, 2.0]
+    assert [*g.point, *g.components.reshape(-1)] == [0.0, 2.0]
 
 
 def test_chordal_distance_zero_at_coincidence():
@@ -243,3 +244,33 @@ def test_delta_vector_ops_reject_non_images():
         delta_oplus(g, embed_delta([0.0]))
     with pytest.raises(ValueError):
         delta_scale(1.0, embed_delta([0.0], ) + embed_delta([1.0]))
+
+
+# Points (k, p) embed as k deltas, checked once, with the terms of k single calls.
+
+@pytest.mark.parametrize("k, p", [(1, 1), (1, 4), (5, 2), (20, 4)])
+def test_embed_delta_on_a_point_stack_is_k_single_calls(k, p):
+    points = np.random.default_rng(k * p).normal(size=(k, p))
+    stacked = embed_delta(points, dim=p)
+    assert isinstance(stacked, list) and len(stacked) == k
+    for e, point in zip(stacked, points):
+        for alone in (embed_delta(point), SpaceElement.delta(point)):  # the one-row case, and the checked term
+            assert (e.dim, e.gaussians, alone.dim) == (p, (), p)
+            (t,), (u,) = e.deltas, alone.deltas
+            assert (t.coeff, t.base.tolist(), t.orders) == (u.coeff, u.base.tolist(), u.orders)
+            assert type(t.coeff) is type(u.coeff) is complex and t.base.dtype == u.base.dtype == float
+    assert embed_delta(np.zeros((0, p))) == []
+    with pytest.raises(ValueError, match="requested dimension"):
+        embed_delta(points, dim=p + 1)
+
+
+def test_embed_delta_names_the_first_non_finite_row():
+    points = np.zeros((4, 3))
+    points[2, 1], points[3, 0] = math.nan, math.inf
+    with pytest.raises(ValueError, match=r"^base point must be finite \(stack index 2\)$"):
+        embed_delta(points)
+    for row in points[2:]:
+        with pytest.raises(ValueError, match="^base point must be finite$"):
+            embed_delta(row)
+    with pytest.raises(ValueError, match=r"one vector or a stack \(k, p\), not of shape \(2, 2, 2\)"):
+        embed_delta(np.zeros((2, 2, 2)))

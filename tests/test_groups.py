@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreingeo.algebra import inner_product
-from kreingeo.elements import SpaceElement
+from kreingeo.elements import DeltaJetTerm, SpaceElement
 from kreingeo.errors import DegenerateImmersionError, NonAffineMapError
 from kreingeo.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, evaluate
 from kreingeo.geometry import embed_delta
@@ -14,11 +15,19 @@ from kreingeo import groups
 from kreingeo.groups import (AffineMap, DeltaSpanOperator, DiffeoMap, GalileoElement,
                              PoincareElement, act_on_element, apply_point,
                              check_gram_invariance, extend_to_span,
-                             parse_group_element, random_galileo, random_poincare,
-                             transform_gram)
+                             parse_group_element, transform_gram)
 from kreingeo.kernels import KernelSpec, gram_matrix
 
 SPEC31 = KernelSpec.gaussian(3, 1)
+
+
+def random_poincare(rng, max_rapidity=2.0, translation_scale=1.0):
+    """Random rotation * boost * translation: the one-row stack of one set of draws."""
+    return groups._poincare_stack([groups._poincare_draws(rng, max_rapidity, translation_scale)])[0]
+
+
+def random_galileo(rng):
+    return groups._galileo_stack([groups._galileo_draws(rng)])[0]
 
 
 def interval(a, b):
@@ -624,23 +633,27 @@ def test_stacked_constructors_match_their_single_calls():
 
 def test_random_elements_draw_then_build():
     rng, replay = np.random.default_rng(3), np.random.default_rng(3)
-    g, h = random_poincare(rng, max_rapidity=1.5, translation_scale=0.5), random_galileo(rng)
-    G = groups._poincare_stack([groups._poincare_draws(replay, 1.5, 0.5)])
-    H = groups._galileo_stack([groups._galileo_draws(replay)])
-    _same_map(g, G[0], np.ones(4))
-    _same_map(h, H[0], np.ones(4))
+    G = groups._poincare_stack([groups._poincare_draws(rng, 1.5, 0.5) for _ in range(2)])
+    H = groups._galileo_stack([groups._galileo_draws(rng) for _ in range(2)])
+    gs = [random_poincare(replay, max_rapidity=1.5, translation_scale=0.5) for _ in range(2)]
+    hs = [random_galileo(replay) for _ in range(2)]
+    for i in range(2):  # each row of a stack is the element its draws build alone
+        _same_map(gs[i], G[i], np.ones(4))
+        _same_map(hs[i], H[i], np.ones(4))
     assert np.array_equal(rng.normal(size=3), replay.normal(size=3))
 
 
-# Stacks of maps pair point i with map i, so the Gram checks take one element.
+# Stacks of maps pair point i with map i: check_gram_invariance moves all the
+# points under each map of a stack, and the other Gram checks take one element.
 
 def test_gram_checks_reject_a_stack_of_maps():
     rng = np.random.default_rng(0)
     G = groups._poincare_stack([groups._poincare_draws(rng) for _ in range(3)])
     for n in (3, 5):  # three points once paired point i with map i; five raised numpy's broadcast error
         pts = rng.normal(size=(n, 4))
-        with pytest.raises(ValueError, match="^check_gram_invariance takes one group element, not a stack of 3$"):
-            check_gram_invariance(G, pts, SPEC31)
+        devs = check_gram_invariance(G, pts, SPEC31)
+        assert devs.shape == (3,) and devs.tolist() == [check_gram_invariance(g, pts, SPEC31) for g in G]
+        assert check_gram_invariance(G[:1], pts, SPEC31).tolist() == devs[:1].tolist()
         op = extend_to_span(G[0], pts)
         with pytest.raises(ValueError, match="^transform_gram takes one group element, not a stack of 3$"):
             transform_gram(op, gram_matrix(pts, SPEC31), G, SPEC31)
@@ -750,7 +763,8 @@ def test_a_stacked_span_operator_is_k_single_operators(k, n, m, seed):
         alone = DeltaSpanOperator(sources[i], targets[i])
         assert np.array_equal(op.sources, alone.sources) and np.array_equal(op.targets, alone.targets)
         bases = sources[i][rng.permutation(n)] + 1e-13
-        assert np.array_equal(op._match(bases), alone._match(bases))
+        owners = np.zeros(n, dtype=int)
+        assert np.array_equal(op._match(bases, owners), alone._match(bases, owners))
         e = embed_delta(sources[i, 0]) * (1.0 - 2.0j)
         assert np.array_equal(op.apply(e).deltas[0].base, alone.apply(e).deltas[0].base)
     assert i == k - 1
@@ -816,3 +830,90 @@ def test_a_single_span_operator_is_not_a_stack():
     op = DeltaSpanOperator(np.zeros((1, 2)), np.ones((1, 2)))
     with pytest.raises(TypeError, match="only a stack"):
         op[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_a_stack_has_the_rapidity_of_each_element(k):
+    # A stack once raised IndexError (k <= 3) or numpy's TypeError (k >= 4).
+    G = groups._poincare_stack([groups._poincare_draws(np.random.default_rng(k)) for _ in range(k)])
+    rapidities = G.rapidity()
+    assert rapidities.shape == (k,)
+    assert rapidities.tolist() == [g.rapidity() for g in G]
+    assert [g.rapidity() for g in G] == [math.acosh(max(float(g.lorentz[3, 3]), 1.0)) for g in G]
+    assert all(type(g.rapidity()) is float for g in G)
+
+
+# A stack of k span operators acts on k elements in one pass, operator i on
+# element i, with the bits of k single operators.
+
+def _delta_sum(rng, points, count: int) -> tuple[SpaceElement, np.ndarray]:
+    """``count`` deltas at rows of ``points``, some moved 1e-13 off, with complex coefficients; and the rows."""
+    rows = rng.integers(0, len(points), size=count)
+    nudge = 1e-13 * rng.integers(0, 2, size=(count, 1))
+    coeffs = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return SpaceElement(points.shape[1], deltas=tuple(
+        DeltaJetTerm(c, b) for c, b in zip(coeffs.tolist(), points[rows] + nudge))), rows
+
+
+def _terms(e: SpaceElement) -> list:
+    return [(t.coeff, t.base.tolist(), t.orders) for t in e.deltas]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_span_stack_acts_as_k_single_operators(counts, n, m, seed):
+    rng = np.random.default_rng(seed)
+    k = len(counts)  # ragged: each element has its own number of deltas, possibly none
+    sources, targets = rng.normal(size=(2, k, n, m))
+    ops = DeltaSpanOperator(sources, targets)
+    elements, rows = zip(*(_delta_sum(rng, sources[i], count) for i, count in enumerate(counts)))
+    images = act_on_element(ops, elements)
+    assert isinstance(images, list) and len(images) == k
+    for i, (e, image) in enumerate(zip(elements, images)):
+        alone = DeltaSpanOperator(sources[i], targets[i]).apply(e)
+        assert (image.dim, image.gaussians) == (m, ())
+        assert _terms(image) == _terms(alone)  # == on coefficients, bases and orders
+        # Each delta goes to its own operator's target, with its coefficient.
+        assert _terms(image) == [(t.coeff, b, (0,) * m) for t, b in zip(e.deltas, targets[i][rows[i]].tolist())]
+    assert [_terms(x) for x in ops.apply(tuple(elements))] == [_terms(x) for x in images]
+
+
+@pytest.mark.parametrize("k, bad", [(1, 0), (3, 0), (3, 2), (5, 3)])
+def test_a_span_stack_names_the_element_with_a_delta_outside_its_operator(k, bad):
+    rng = np.random.default_rng(10 * k + bad)
+    sources = rng.normal(size=(k, 2, 3))
+    ops = DeltaSpanOperator(sources, sources + 1.0)
+    elements = [embed_delta(s[0]) + embed_delta(s[1]) * 1j for s in sources]
+    # Inside another operator's span, but not in operator bad's.
+    outside = sources[bad + 1, 0] if bad + 1 < k else np.array([5.0, 5.0, 5.0])
+    elements[bad] = elements[bad] + embed_delta(outside)
+    if bad + 2 < k:
+        elements[-1] = elements[-1] + embed_delta([7.0, 7.0, 7.0])  # a later bad element is not named
+    message = f"delta at {outside.tolist()} is outside the operator span"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} \(stack index {bad}\)$"):
+        ops.apply(elements)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):  # alone, an operator names no index
+        ops[bad].apply(elements[bad])
+
+
+def test_a_span_stack_names_the_first_element_that_fails_a_rule():
+    sources = np.random.default_rng(2).normal(size=(3, 2, 2))
+    ops = DeltaSpanOperator(sources, sources)
+    good = [embed_delta(s[0]) for s in sources]
+    for i, spoiled, message in (
+            (1, SpaceElement.gaussian(np.eye(2)), "span operators do not act on Gaussian terms; "
+                                                  "only delta spans transform"),
+            (2, SpaceElement.delta(sources[2, 0], orders=(1, 0)), "span operators act on zero-order deltas only"),
+            (0, embed_delta([0.0, 0.0, 0.0]), "span operators act on elements of dimension 2, not 3")):
+        elements = good[:i] + [spoiled] + good[i + 1:]
+        with pytest.raises(ValueError, match=rf"^{message} \(stack index {i}\)$"):
+            ops.apply(elements)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ops[i].apply(spoiled)
+    with pytest.raises(ValueError, match="^a stack of 3 span operators acts on as many elements, not 2$"):
+        ops.apply(good[:2])
+    with pytest.raises(TypeError, match="^a stack of span operators acts through its elements$"):
+        ops.apply(good[0])
+    with pytest.raises(TypeError, match="^one span operator acts on one element$"):
+        ops[0].apply(good[:1])
